@@ -23,9 +23,6 @@ from .decoder import (
     DecodeReport,
     WalkObservation,
     decode,
-    decode2d,
-    decode_directed,
-    decode_undirected,
     recover_signs,
 )
 from .gfpoly import FieldPrime, next_prime_above
@@ -58,9 +55,6 @@ __all__ = [
     "color_walk",
     "coloring_lines",
     "decode",
-    "decode2d",
-    "decode_directed",
-    "decode_undirected",
     "fault_inject",
     "lb_walk_family",
     "lower_bound_colors",

@@ -29,7 +29,7 @@ KINDS = ("colord", "color2", "undir", "mod3-aux")
 # color2 packs orientations into quotient/remainder blocks in this order:
 # x-quotient, x-remainder, y-quotient, y-remainder.
 _COLOR2_BLOCK_TO_CODE = (1, 3, 2, 4)
-_COLOR2_CODE_TO_BLOCK = {1: 0, 3: 1, 2: 2, 4: 3}
+_COLOR2_CODE_TO_BLOCK = {code: block for block, code in enumerate(_COLOR2_BLOCK_TO_CODE)}
 
 
 @dataclass(frozen=True)
@@ -125,50 +125,33 @@ def distance_digits(u, spec: LatticeSpec) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def colord_assign(edge: Edge, params: SchemeParams) -> int:
-    """Directed scheme: group = coefficient parities of the root's rank
-    row, block = orientation code, value = array entry at that column."""
+def oa_assign(edge: Edge, params: SchemeParams) -> int:
+    """Orthogonal-array schemes (colord, undir): value = array entry of
+    the root's rank row at the code's column, block = code, group =
+    coefficient parities of that row, extended on undirected lattices
+    by the root's ternary distance digits."""
     spec = params.lattice
     p = params.sigma
     coeffs = index_to_coeffs(rank(edge.root, spec), spec.t, p)
+    group = parity_group(coeffs)
+    if not spec.directed:
+        digits = distance_digits(edge.root, spec)
+        group |= sum(dig * 3**q for q, dig in enumerate(digits)) << spec.t
     value = poly_eval(coeffs, edge.code, p)
-    return parity_group(coeffs) * params.group_size + (edge.code - 1) * p.modulus + value
-
-
-def undircolor_assign(edge: Edge, params: SchemeParams) -> int:
-    """Undirected scheme: like colord with one column per axis, and the
-    group extended by the root's ternary distance digits."""
-    spec = params.lattice
-    p = params.sigma
-    coeffs = index_to_coeffs(rank(edge.root, spec), spec.t, p)
-    value = poly_eval(coeffs, edge.code, p)
-    digits = distance_digits(edge.root, spec)
-    m2 = sum(dig * 3**q for q, dig in enumerate(digits))
-    group = (m2 << spec.t) | parity_group(coeffs)
     return group * params.group_size + (edge.code - 1) * p.modulus + value
 
 
-def color2_assign(edge: Edge, n: int) -> int:
+def color2_assign(edge: Edge, params: SchemeParams) -> int:
     """Square directed 2-d scheme with palette 4 * ceil(sqrt(n)).
 
     The root's x splits as quotient/remainder by r = ceil(sqrt(n)); the
     1-up edge stores the quotient, the 1-down edge the remainder, and
     the axis-2 edges do the same for y.
     """
-    r = ceil_nth_root(n, 2)
-    x, y = edge.root
-    axis = (edge.code - 1) % 2
-    if not (0 <= x < n and 0 <= y < n) or edge.root[axis] + 1 >= n:
-        raise ValueError(f"edge {edge} does not fit an n={n} square")
-    if edge.code == 1:
-        return x // r
-    if edge.code == 3:
-        return x % r + r
-    if edge.code == 2:
-        return y // r + 2 * r
-    if edge.code == 4:
-        return y % r + 3 * r
-    raise ValueError(f"orientation {edge.code} undefined for d=2")
+    r = params.group_size
+    block = _COLOR2_CODE_TO_BLOCK[edge.code]
+    quotient, remainder = divmod(edge.root[(edge.code - 1) % 2], r)
+    return block * r + (remainder if block % 2 else quotient)
 
 
 def mod3_color(edge: Edge, params: SchemeParams) -> int:
@@ -187,13 +170,11 @@ def mod3_color(edge: Edge, params: SchemeParams) -> int:
 def assign_color(edge: Edge, params: SchemeParams) -> int:
     """Color one edge under the scheme, validating the edge first."""
     edge_endpoints(edge, params.lattice)
-    if params.kind == "colord":
-        return colord_assign(edge, params)
-    if params.kind == "undir":
-        return undircolor_assign(edge, params)
     if params.kind == "color2":
-        return color2_assign(edge, params.lattice.dims[0])
-    return mod3_color(edge, params)
+        return color2_assign(edge, params)
+    if params.kind == "mod3-aux":
+        return mod3_color(edge, params)
+    return oa_assign(edge, params)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,21 @@
 """Recover a walk's location from its edge colors alone.
 
-The decoders never see the walk's start.  They rebuild the walk's shape
-from the colors, find the lexicographically smallest visited node, solve
-for that node's rank from color-value differences, place the walk
-absolutely, and then recolor every edge and demand an exact match.
+The decoder never sees the walk's start.  One pipeline serves every
+decodable scheme, in five stages:
+
+  unpack   split each color into its code, value and group bits;
+  signs    read each step's traversal direction: from the code on
+           directed lattices, from the distance digits on undirected
+           ones (recover_signs);
+  trace    rebuild the walk's shape relative to its start and find its
+           lexicographically smallest node;
+  locate   place that minimum absolutely;
+  verify   recolor every edge of the placed walk and demand an exact
+           match.
+
+Only `locate` depends on the scheme kind: colord and undir solve the
+minimum's orthogonal-array row from color-value differences, color2
+reads a coordinate's quotient and remainder off an up/down edge pair.
 Anything inconsistent comes back with status "invalid"; an undirected
 sequence whose traversal directions are genuinely underdetermined comes
 back "ambiguous".  Reports never guess.
@@ -11,8 +23,8 @@ back "ambiguous".  Reports never guess.
 
 from dataclasses import dataclass
 
-from .colorer import SchemeParams, color_unpack, color_walk, palette_size
-from .gfpoly import FieldPrime, index_to_coeffs
+from .colorer import SchemeParams, color_unpack, color_walk
+from .gfpoly import FieldPrime, index_to_coeffs, poly_eval
 from .lattice import Walk, rank_difference, trace_steps, unrank, walk_nodes
 from .oarray import oa_row_from_projection
 
@@ -83,44 +95,55 @@ def recover_coef_diffs(
 
 def array_entry_diff(deltas, j: int, p: FieldPrime) -> int:
     """Column-j array-entry difference implied by coefficient diffs."""
-    m = p.modulus
-    acc = 0
-    for dl in deltas:
-        acc = (acc * j + dl) % m
-    return acc
+    return poly_eval(deltas, j, p)
 
 
 def decode(obs: WalkObservation) -> DecodeReport:
-    """Dispatch on the observation's scheme kind."""
-    kind = obs.params.kind
-    if kind == "colord":
-        return decode_directed(obs)
-    if kind == "color2":
-        return decode2d(obs)
-    if kind == "undir":
-        return decode_undirected(obs)
-    raise ValueError(f"scheme {kind!r} is not decodable")
+    """Run the decode pipeline on one observation.
 
-
-def _unpack_all(obs: WalkObservation):
+    Every refusal raises ObservationError (or AmbiguousObservation)
+    from its stage and maps to a status here, in one place.
+    """
+    params = obs.params
+    spec = params.lattice
+    locate = _LOCATORS.get(params.kind)
+    if locate is None:
+        raise ValueError(f"scheme {params.kind!r} is not decodable")
     try:
-        return [color_unpack(c, obs.params) for c in obs.colors]
-    except ValueError:
-        return None
+        try:
+            parts = [color_unpack(c, params) for c in obs.colors]
+        except ValueError as exc:
+            raise ObservationError(str(exc)) from None
+        codes = [u.code for u in parts]
+        if spec.directed:
+            signs = [1 if code <= spec.d else -1 for code in codes]
+            steps = codes
+        else:
+            signs = recover_signs(obs)
+            steps = [a * s for a, s in zip(codes, signs)]
+        if len(set(codes)) < spec.t:
+            raise ObservationError("walk spans fewer than t orientations")
+        offsets, root_idx = trace_steps(steps, spec)
+        start = locate(params, parts, signs, offsets, root_idx)
+        return _place_and_verify(obs, steps, start, root_idx)
+    except AmbiguousObservation:
+        return DecodeReport(AMBIGUOUS)
+    except ObservationError:
+        return DecodeReport(INVALID)
 
 
 def _place_and_verify(obs, steps, start, root_idx) -> DecodeReport:
     """Anchor the traced shape at an absolute start, recolor every edge,
     and demand an exact match with the observation."""
     params = obs.params
-    walk = Walk(tuple(start), tuple(steps))
+    walk = Walk(start, tuple(steps))
     try:
         nodes = walk_nodes(walk, params.lattice)
         recolored = color_walk(walk, params)
     except ValueError:
-        return DecodeReport(INVALID)
+        raise ObservationError("placed walk leaves the lattice") from None
     if recolored != obs.colors:
-        return DecodeReport(INVALID)
+        raise ObservationError("recolored walk differs from the observation")
     return DecodeReport(
         OK,
         root=nodes[root_idx],
@@ -130,25 +153,26 @@ def _place_and_verify(obs, steps, start, root_idx) -> DecodeReport:
     )
 
 
-def _solve_root(obs, parts, offsets, root_idx, picks) -> tuple:
-    """Solve the rank row of the walk's lexicographic minimum.
+def _locate_oa(params, parts, signs, offsets, root_idx) -> tuple:
+    """Start node from the orthogonal-array row of the walk's minimum.
 
-    picks: one (column, edge position, edge-root node index) per chosen
-    column.  Any walk edge incident to the minimum is rooted there, so
-    its parity bits describe the minimum's row.  Raises
-    ObservationError when no row fits.
+    The first edge of each of the t smallest codes gives one column; its
+    root is walk node pos or pos + 1, by the step's sign.  Any walk edge
+    incident to the minimum is rooted there, so its parity bits describe
+    the minimum's row.
     """
-    params = obs.params
     spec = params.lattice
     p = params.sigma
+    codes = [u.code for u in parts]
     anchor = parts[root_idx - 1] if root_idx else parts[0]
     points = []
-    for column, pos, k in picks:
-        part = parts[pos]
+    for column in sorted(set(codes))[: spec.t]:
+        pos = codes.index(column)
+        k = pos if signs[pos] > 0 else pos + 1
         gap = rank_difference(offsets, k, root_idx, spec)
-        deltas = recover_coef_diffs(gap, part.parities, anchor.parities, spec.t, p)
+        deltas = recover_coef_diffs(gap, parts[pos].parities, anchor.parities, spec.t, p)
         shift = array_entry_diff(deltas, column, p)
-        points.append((column, (part.value - shift) % p.modulus))
+        points.append((column, (parts[pos].value - shift) % p.modulus))
     row = oa_row_from_projection(
         [c for c, _ in points], [v for _, v in points], params.oa
     )
@@ -157,109 +181,38 @@ def _solve_root(obs, parts, offsets, root_idx, picks) -> tuple:
     coeffs = index_to_coeffs(row, spec.t, p)
     if tuple(a & 1 for a in coeffs) != tuple(anchor.parities):
         raise ObservationError("parity mismatch at the solved root")
-    return row
-
-
-def decode_directed(obs: WalkObservation) -> DecodeReport:
-    """Decode a colord observation: any walk of dimension >= t."""
-    params = obs.params
-    spec = params.lattice
-    if params.kind != "colord":
-        raise ValueError("decode_directed reads colord observations")
-    parts = _unpack_all(obs)
-    if parts is None:
-        return DecodeReport(INVALID)
-    codes = [u.code for u in parts]
-    if len(set(codes)) < spec.t:
-        return DecodeReport(INVALID)
-    offsets, root_idx = trace_steps(codes, spec)
-    picks = []
-    for code in sorted(set(codes))[: spec.t]:
-        pos = codes.index(code)
-        picks.append((code, pos, pos if code <= spec.d else pos + 1))
-    return _finish(obs, parts, offsets, root_idx, codes, picks)
-
-
-def decode_undirected(obs: WalkObservation) -> DecodeReport:
-    """Decode an undir observation; ambiguous when the digit streams
-    cannot fix the traversal directions (single-edge oscillations)."""
-    params = obs.params
-    spec = params.lattice
-    if params.kind != "undir":
-        raise ValueError("decode_undirected reads undir observations")
-    parts = _unpack_all(obs)
-    if parts is None:
-        return DecodeReport(INVALID)
-    try:
-        signs = recover_signs(obs)
-    except AmbiguousObservation:
-        return DecodeReport(AMBIGUOUS)
-    except ObservationError:
-        return DecodeReport(INVALID)
-    axes = [u.code for u in parts]
-    if len(set(axes)) < spec.t:
-        return DecodeReport(INVALID)
-    steps = [a * s for a, s in zip(axes, signs)]
-    offsets, root_idx = trace_steps(steps, spec)
-    picks = []
-    for axis in sorted(set(axes))[: spec.t]:
-        pos = axes.index(axis)
-        picks.append((axis, pos, pos if signs[pos] > 0 else pos + 1))
-    return _finish(obs, parts, offsets, root_idx, steps, picks)
-
-
-def _finish(obs, parts, offsets, root_idx, steps, picks) -> DecodeReport:
-    spec = obs.params.lattice
-    try:
-        row = _solve_root(obs, parts, offsets, root_idx, picks)
-    except ObservationError:
-        return DecodeReport(INVALID)
     root = unrank(row, spec)
-    start = tuple(
-        r + a - b for r, a, b in zip(root, offsets[0], offsets[root_idx])
-    )
-    return _place_and_verify(obs, steps, start, root_idx)
+    return tuple(r - o for r, o in zip(root, offsets[root_idx]))
 
 
-def decode2d(obs: WalkObservation) -> DecodeReport:
-    """Decode a color2 observation: a 4-dimensional walk on a square.
+def _locate_color2(params, parts, signs, offsets, root_idx) -> tuple:
+    """Start node of a color2 walk on a square.
 
     Each axis needs one up/down alternation among its parallel edges;
-    the up edge's color holds the shared coordinate's quotient and the
-    down edge's its remainder.
+    the two edges cross the same level, so the up edge's color holds
+    that coordinate's quotient and the down edge's its remainder.
     """
-    params = obs.params
-    spec = params.lattice
-    if params.kind != "color2":
-        raise ValueError("decode2d reads color2 observations")
-    parts = _unpack_all(obs)
-    if parts is None:
-        return DecodeReport(INVALID)
-    codes = [u.code for u in parts]
-    if len(set(codes)) < 4:
-        return DecodeReport(INVALID)
-    offsets, root_idx = trace_steps(codes, spec)
     r = params.group_size
     start = []
     for axis in (0, 1):
-        up, down = axis + 1, axis + 3
         prev = None
-        pair = None
-        for pos, code in enumerate(codes):
-            if code != up and code != down:
+        for pos, part in enumerate(parts):
+            if (part.code - 1) % 2 != axis:
                 continue
-            if prev is not None and code != prev[1]:
-                pair = (prev, (pos, code))
+            if prev is not None and signs[pos] != signs[prev]:
                 break
-            prev = (pos, code)
-        if pair is None:
-            return DecodeReport(INVALID)
-        (pa, ca), (pb, _) = pair
-        upos, dpos = (pa, pb) if ca == up else (pb, pa)
+            prev = pos
+        else:
+            raise ObservationError(f"no up/down pairing on axis {axis + 1}")
+        upos, dpos = (prev, pos) if signs[prev] > 0 else (pos, prev)
         coord = parts[upos].value * r + parts[dpos].value
         # the up edge's root is its tail: walk node upos
-        start.append(coord + offsets[0][axis] - offsets[upos][axis])
-    return _place_and_verify(obs, codes, start, root_idx)
+        start.append(coord - offsets[upos][axis])
+    return tuple(start)
+
+
+# locate is the only stage that depends on the scheme kind
+_LOCATORS = {"colord": _locate_oa, "undir": _locate_oa, "color2": _locate_color2}
 
 
 def recover_signs(obs: WalkObservation) -> list[int]:

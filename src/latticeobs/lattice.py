@@ -87,14 +87,6 @@ def unrank(r: int, spec: LatticeSpec) -> Coord:
     return tuple(coords)
 
 
-def edge_root(u: Sequence[int], v: Sequence[int]) -> Coord:
-    """Lexicographically smaller endpoint of the edge {u, v}."""
-    a, b = tuple(u), tuple(v)
-    if len(a) != len(b) or sum(abs(x - y) for x, y in zip(a, b)) != 1:
-        raise ValueError(f"{a} and {b} are not adjacent")
-    return min(a, b)
-
-
 def step_axis_sign(step: int, spec: LatticeSpec) -> tuple[int, int]:
     """Split a step code into (zero-based axis, +1 or -1)."""
     d = spec.d
@@ -136,13 +128,22 @@ def apply_step(u: Sequence[int], step: int, spec: LatticeSpec) -> Coord:
     return v
 
 
-def step_edge(u: Sequence[int], step: int, spec: LatticeSpec) -> tuple[Edge, int]:
-    """Edge traversed by one step from u, and the traversal sign."""
+def _traverse(u: Sequence[int], step: int, spec: LatticeSpec) -> tuple[Edge, int, Coord]:
+    """The edge one step from u crosses, its traversal sign, and the
+    node reached.  The edge is rooted at the tail of a positive step and
+    the head of a negative one; its code is the step itself on directed
+    lattices and the axis on undirected ones."""
     v = apply_step(u, step, spec)
     axis, sign = step_axis_sign(step, spec)
     root = tuple(u) if sign > 0 else v
     code = step if spec.directed else axis + 1
-    return Edge(root, code), sign
+    return Edge(root, code), sign, v
+
+
+def step_edge(u: Sequence[int], step: int, spec: LatticeSpec) -> tuple[Edge, int]:
+    """Edge traversed by one step from u, and the traversal sign."""
+    edge, sign, _ = _traverse(u, step, spec)
+    return edge, sign
 
 
 def walk_nodes(w: Walk, spec: LatticeSpec) -> list[Coord]:
@@ -161,11 +162,8 @@ def walk_edges(w: Walk, spec: LatticeSpec) -> list[tuple[Edge, int]]:
         raise ValueError(f"start {w.start} outside lattice {spec.dims}")
     out = []
     for s in w.steps:
-        v = apply_step(node, s, spec)
-        axis, sign = step_axis_sign(s, spec)
-        code = s if spec.directed else axis + 1
-        out.append((Edge(node if sign > 0 else v, code), sign))
-        node = v
+        edge, sign, node = _traverse(node, s, spec)
+        out.append((edge, sign))
     return out
 
 
@@ -193,46 +191,7 @@ def trace_steps(steps: Sequence[int], spec: LatticeSpec) -> tuple[tuple[Coord, .
     return tuple(offsets), root
 
 
-def relative_trace(colors, params, signs=None) -> tuple[tuple[Coord, ...], int]:
-    """Trace a color sequence without knowing where it started.
-
-    Each color pins its edge's orientation (directed schemes) or axis
-    (undirected, where one traversal sign per color must be supplied).
-    Returns relative offsets and the index of the lexicographic minimum.
-    """
-    from . import colorer
-
-    spec = params.lattice
-    if params.kind == "mod3-aux":
-        raise ValueError("a 3-coloring does not determine edge directions")
-    if spec.directed:
-        steps = [colorer.color_unpack(c, params).code for c in colors]
-    else:
-        if signs is None or len(signs) != len(colors):
-            raise ValueError("undirected tracing needs one sign per color")
-        steps = [
-            colorer.color_unpack(c, params).code * s for c, s in zip(colors, signs)
-        ]
-    return trace_steps(steps, spec)
-
-
 def rank_difference(offsets, i: int, j: int, spec: LatticeSpec) -> int:
     """rank(node_i) - rank(node_j), computed from relative offsets alone."""
     oi, oj = offsets[i], offsets[j]
     return sum((a - b) * w for a, b, w in zip(oi, oj, spec.weights))
-
-
-def find_pairing(w: Walk, axis: int, spec: LatticeSpec) -> tuple[Edge, Edge]:
-    """First adjacent sign alternation among w's axis-parallel edges,
-    returned as (up edge, down edge).  Their roots share the axis
-    coordinate: the walk re-crosses the same level between them."""
-    target = axis - 1
-    prev = None
-    for edge, sign in walk_edges(w, spec):
-        if edge_axis(edge, spec) != target:
-            continue
-        if prev is not None and sign != prev[1]:
-            pe, ps = prev
-            return (pe, edge) if ps > 0 else (edge, pe)
-        prev = (edge, sign)
-    raise ValueError(f"walk never alternates on axis {axis}")

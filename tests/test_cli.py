@@ -142,6 +142,7 @@ def test_decode_aux_coloring_exits_2(tmp_path, capsys):
         ("color", "--t", "2", "--out", "x"),
         ("color", "--dims", "4x4", "--t", "2", "--scheme", "color2", "--out", "x"),
         ("verify", "bound", "--dims", "4x4", "--t", "2", "--sigma", "4"),
+        ("color", "--dims", "1" + "0" * 330 + "x2", "--t", "1", "--directed", "--out", "x.txt"),
     ],
 )
 def test_parameter_errors_exit_2(argv, capsys):

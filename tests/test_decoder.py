@@ -14,9 +14,6 @@ from latticeobs.decoder import (
     WalkObservation,
     array_entry_diff,
     decode,
-    decode2d,
-    decode_directed,
-    decode_undirected,
     recover_coef_diffs,
     recover_signs,
 )
@@ -314,16 +311,3 @@ def test_faults_never_impersonate_the_original():
             assert report.embedding != original.embedding
         else:
             assert report.status == INVALID
-
-
-def test_decoder_direct_entrypoints_check_scheme():
-    directed = make_scheme(spec((3, 3), True, 2), "colord")
-    undirected = make_scheme(spec((3, 3), False, 2), "undir")
-    obs_d = observe(Walk((0, 0), (1, 2)), directed)
-    obs_u = observe(Walk((0, 0), (1, 2)), undirected)
-    with pytest.raises(ValueError):
-        decode_directed(obs_u)
-    with pytest.raises(ValueError):
-        decode_undirected(obs_d)
-    with pytest.raises(ValueError):
-        decode2d(obs_d)

@@ -4,18 +4,14 @@ import itertools
 
 import pytest
 
-from latticeobs.colorer import color_walk, make_scheme
 from latticeobs.lattice import (
     Edge,
     LatticeSpec,
     Walk,
     apply_step,
-    edge_root,
-    find_pairing,
     in_bounds,
     rank,
     rank_difference,
-    relative_trace,
     step_edge,
     trace_steps,
     unrank,
@@ -67,19 +63,6 @@ def test_rank_bounds_checked():
         unrank(9, D33)
     with pytest.raises(ValueError):
         unrank(-1, D33)
-
-
-def test_edge_root_frozen():
-    assert edge_root((0, 0), (1, 0)) == (0, 0)
-    assert edge_root((1, 1), (1, 0)) == (1, 0)
-    assert edge_root((2, 0, 0), (1, 0, 0)) == (1, 0, 0)
-
-
-def test_edge_root_requires_adjacency():
-    with pytest.raises(ValueError):
-        edge_root((0, 0), (1, 1))
-    with pytest.raises(ValueError):
-        edge_root((0, 0), (0, 0))
 
 
 def test_apply_step_frozen():
@@ -136,45 +119,6 @@ def test_trace_steps_revisit_reports_first():
     assert root == 0
 
 
-def test_relative_trace_empty_and_directed():
-    scheme = make_scheme(D33, "colord")
-    offsets, root = relative_trace((), scheme)
-    assert offsets == ((0, 0),)
-    assert root == 0
-    w = Walk((0, 0), (1, 2))
-    offsets, root = relative_trace(color_walk(w, scheme), scheme)
-    assert offsets == ((0, 0), (1, 0), (1, 1))
-    assert root == 0
-
-
-def test_relative_trace_undirected_needs_signs():
-    scheme = make_scheme(U33, "undir")
-    w = Walk((0, 0), (1, 2))
-    colors = color_walk(w, scheme)
-    with pytest.raises(ValueError):
-        relative_trace(colors, scheme)
-    offsets, _ = relative_trace(colors, scheme, signs=(1, 1))
-    assert offsets == ((0, 0), (1, 0), (1, 1))
-
-
-def test_relative_trace_matches_truth_exhaustively():
-    "Tracing a walk's own colors reproduces its node offsets."
-    scheme = make_scheme(D33, "colord")
-    for start in all_coords(D33):
-        for steps in itertools.product((1, 2, 3, 4), repeat=3):
-            try:
-                w = Walk(start, steps)
-                nodes = walk_nodes(w, D33)
-            except ValueError:
-                continue
-            offsets, root = relative_trace(color_walk(w, scheme), scheme)
-            rebuilt = [
-                tuple(s + o for s, o in zip(start, off)) for off in offsets
-            ]
-            assert rebuilt == nodes
-            assert nodes[root] == min(nodes)
-
-
 def test_rank_difference_frozen():
     offsets, _ = trace_steps((1, 2), D33)
     assert rank_difference(offsets, 0, 0, D33) == 0
@@ -194,29 +138,6 @@ def test_rank_difference_equals_rank_subtraction():
             assert rank_difference(offsets, i, j, spec) == rank(
                 nodes[i], spec
             ) - rank(nodes[j], spec)
-
-
-def test_find_pairing_roots_share_coordinate():
-    spec = LatticeSpec((16, 16), directed=True, t=4)
-    w = Walk((5, 5), (1, 2, 3, 4))
-    up, down = find_pairing(w, 1, spec)
-    assert up.root[0] == down.root[0] == 5
-    up, down = find_pairing(w, 2, spec)
-    assert up.root[1] == down.root[1] == 5
-
-
-def test_find_pairing_down_then_up():
-    w = Walk((1, 1), (3, 1))
-    up, down = find_pairing(w, 1, D33)
-    # both edges are the same unit interval re-crossed
-    assert up.root == down.root == (0, 1)
-
-
-def test_find_pairing_requires_alternation():
-    with pytest.raises(ValueError):
-        find_pairing(Walk((0, 0), (1, 1)), 1, D33)
-    with pytest.raises(ValueError):
-        find_pairing(Walk((0, 0), (1, 2)), 2, D33)
 
 
 def test_in_bounds():
