@@ -125,56 +125,61 @@ def distance_digits(u, spec: LatticeSpec) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def oa_assign(edge: Edge, params: SchemeParams) -> int:
+def oa_assign(root, r: int, code: int, params: SchemeParams) -> int:
     """Orthogonal-array schemes (colord, undir): value = array entry of
-    the root's rank row at the code's column, block = code, group =
+    row r (the root's rank) at the code's column, block = code, group =
     coefficient parities of that row, extended on undirected lattices
-    by the root's ternary distance digits."""
+    by the root's ternary distance digits.  The edge must fit."""
     spec = params.lattice
     p = params.sigma
-    coeffs = index_to_coeffs(rank(edge.root, spec), spec.t, p)
+    coeffs = index_to_coeffs(r, spec.t, p)
     group = parity_group(coeffs)
     if not spec.directed:
-        digits = distance_digits(edge.root, spec)
+        digits = distance_digits(root, spec)
         group |= sum(dig * 3**q for q, dig in enumerate(digits)) << spec.t
-    value = poly_eval(coeffs, edge.code, p)
-    return group * params.group_size + (edge.code - 1) * p.modulus + value
+    value = poly_eval(coeffs, code, p)
+    return group * params.group_size + (code - 1) * p.modulus + value
 
 
-def color2_assign(edge: Edge, params: SchemeParams) -> int:
+def color2_assign(root, r: int, code: int, params: SchemeParams) -> int:
     """Square directed 2-d scheme with palette 4 * ceil(sqrt(n)).
 
-    The root's x splits as quotient/remainder by r = ceil(sqrt(n)); the
-    1-up edge stores the quotient, the 1-down edge the remainder, and
-    the axis-2 edges do the same for y.
+    The root's x splits as quotient/remainder by group_size =
+    ceil(sqrt(n)); the 1-up edge stores the quotient, the 1-down edge
+    the remainder, and the axis-2 edges do the same for y.  The rank r
+    goes unused.
     """
-    r = params.group_size
-    block = _COLOR2_CODE_TO_BLOCK[edge.code]
-    quotient, remainder = divmod(edge.root[(edge.code - 1) % 2], r)
-    return block * r + (remainder if block % 2 else quotient)
+    size = params.group_size
+    block = _COLOR2_CODE_TO_BLOCK[code]
+    quotient, remainder = divmod(root[(code - 1) % 2], size)
+    return block * size + (remainder if block % 2 else quotient)
 
 
-def mod3_color(edge: Edge, params: SchemeParams) -> int:
+def mod3_assign(root, r: int, code: int, params: SchemeParams) -> int:
     """Distance from the edge's root to the scheme's reference corner,
     mod 3.  Corner 0 is all-zeros; corner q >= 1 has coordinate q maxed
-    and the rest zero."""
+    and the rest zero.  The rank r goes unused."""
     spec = params.lattice
-    edge_endpoints(edge, spec)
-    u = edge.root
     q = params.origin_index
     if q == 0:
-        return sum(u) % 3
-    return (sum(u) + spec.dims[q - 1] - 1 - 2 * u[q - 1]) % 3
+        return sum(root) % 3
+    return (sum(root) + spec.dims[q - 1] - 1 - 2 * root[q - 1]) % 3
+
+
+# Unchecked assigners: (root, root rank, code, params) -> color, for an
+# edge already known to fit the lattice.
+_ASSIGNERS = {
+    "colord": oa_assign,
+    "undir": oa_assign,
+    "color2": color2_assign,
+    "mod3-aux": mod3_assign,
+}
 
 
 def assign_color(edge: Edge, params: SchemeParams) -> int:
     """Color one edge under the scheme, validating the edge first."""
-    edge_endpoints(edge, params.lattice)
-    if params.kind == "color2":
-        return color2_assign(edge, params)
-    if params.kind == "mod3-aux":
-        return mod3_color(edge, params)
-    return oa_assign(edge, params)
+    root, _ = edge_endpoints(edge, params.lattice)
+    return _ASSIGNERS[params.kind](root, rank(root, params.lattice), edge.code, params)
 
 
 @dataclass(frozen=True)
@@ -215,8 +220,23 @@ def color_unpack(c: int, params: SchemeParams) -> UnpackedColor:
 
 
 def color_walk(w: Walk, params: SchemeParams) -> tuple[int, ...]:
-    """Ground-truth observation: the color of each edge w traverses."""
-    return tuple(assign_color(e, params) for e, _ in walk_edges(w, params.lattice))
+    """Ground-truth observation: the color of each edge w traverses.
+
+    walk_edges checks the start once and each step's moved coordinate;
+    the root's rank then moves by the step axis's weight, so no edge is
+    validated or ranked again."""
+    spec = params.lattice
+    assign = _ASSIGNERS[params.kind]
+    weights, d = spec.weights, spec.d
+    edges = walk_edges(w, spec)
+    r = rank(w.start, spec)
+    colors = []
+    for edge, sign in edges:
+        # r is the current node's rank; a down step's root is its head
+        dr = sign * weights[(edge.code - 1) % d]
+        colors.append(assign(edge.root, r if sign > 0 else r + dr, edge.code, params))
+        r += dr
+    return tuple(colors)
 
 
 def lattice_edges(spec: LatticeSpec):

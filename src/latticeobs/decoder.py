@@ -119,7 +119,7 @@ def decode(obs: WalkObservation) -> DecodeReport:
             signs = [1 if code <= spec.d else -1 for code in codes]
             steps = codes
         else:
-            signs = recover_signs(obs)
+            signs = recover_signs(obs, parts)
             steps = [a * s for a, s in zip(codes, signs)]
         if len(set(codes)) < spec.t:
             raise ObservationError("walk spans fewer than t orientations")
@@ -215,8 +215,9 @@ def _locate_color2(params, parts, signs, offsets, root_idx) -> tuple:
 _LOCATORS = {"colord": _locate_oa, "undir": _locate_oa, "color2": _locate_color2}
 
 
-def recover_signs(obs: WalkObservation) -> list[int]:
-    """Traversal direction of each step of an undir observation.
+def recover_signs(obs: WalkObservation, parts=None) -> list[int]:
+    """Traversal direction of each step of an undir observation; parts,
+    when given, are its colors already unpacked.
 
     Every color carries one distance digit per reference corner.  Each
     stream is first normalized to "the nearer endpoint's distance mod 3"
@@ -233,7 +234,8 @@ def recover_signs(obs: WalkObservation) -> list[int]:
     spec = params.lattice
     if params.kind != "undir":
         raise ValueError("sign recovery reads undir scheme digits")
-    parts = [color_unpack(c, params) for c in obs.colors]
+    if parts is None:
+        parts = [color_unpack(c, params) for c in obs.colors]
     for stream in range(spec.d - spec.t + 2):
         ideals = []
         for part in parts:

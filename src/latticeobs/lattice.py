@@ -52,6 +52,15 @@ class LatticeSpec:
             w[j] = w[j + 1] * self.dims[j + 1]
         return tuple(w)
 
+    @cached_property
+    def step_table(self) -> dict[int, tuple[int, int]]:
+        """Every valid step code -> (zero-based axis, +1 or -1)."""
+        table = {}
+        for j in range(self.d):
+            table[j + 1] = (j, 1)
+            table[self.d + j + 1 if self.directed else -(j + 1)] = (j, -1)
+        return table
+
 
 @dataclass(frozen=True)
 class Edge:
@@ -89,15 +98,10 @@ def unrank(r: int, spec: LatticeSpec) -> Coord:
 
 def step_axis_sign(step: int, spec: LatticeSpec) -> tuple[int, int]:
     """Split a step code into (zero-based axis, +1 or -1)."""
-    d = spec.d
-    if spec.directed:
-        if 1 <= step <= d:
-            return step - 1, 1
-        if d < step <= 2 * d:
-            return step - d - 1, -1
-    elif 1 <= abs(step) <= d:
-        return abs(step) - 1, 1 if step > 0 else -1
-    raise ValueError(f"bad step code {step} for this lattice")
+    try:
+        return spec.step_table[step]
+    except KeyError:
+        raise ValueError(f"bad step code {step} for this lattice") from None
 
 
 def edge_axis(edge: Edge, spec: LatticeSpec) -> int:
@@ -119,31 +123,37 @@ def edge_endpoints(edge: Edge, spec: LatticeSpec) -> tuple[Coord, Coord]:
     return root, far
 
 
+def _move(u: Coord, step: int, spec: LatticeSpec) -> Coord:
+    """Node one step from u, which is already known to be inside; only
+    the moved coordinate is checked."""
+    axis, sign = step_axis_sign(step, spec)
+    x = u[axis] + sign
+    if not 0 <= x < spec.dims[axis]:
+        raise ValueError(f"step {step} leaves the lattice at {u}")
+    return u[:axis] + (x,) + u[axis + 1 :]
+
+
 def apply_step(u: Sequence[int], step: int, spec: LatticeSpec) -> Coord:
     """Node reached from u by one step; errors if either end is outside."""
-    axis, sign = step_axis_sign(step, spec)
-    v = tuple(u[:axis]) + (u[axis] + sign,) + tuple(u[axis + 1 :])
-    if not in_bounds(u, spec) or not in_bounds(v, spec):
+    if not in_bounds(u, spec):
+        step_axis_sign(step, spec)  # a bad code is reported first
         raise ValueError(f"step {step} leaves the lattice at {tuple(u)}")
-    return v
+    return _move(tuple(u), step, spec)
 
 
-def _traverse(u: Sequence[int], step: int, spec: LatticeSpec) -> tuple[Edge, int, Coord]:
-    """The edge one step from u crosses, its traversal sign, and the
-    node reached.  The edge is rooted at the tail of a positive step and
-    the head of a negative one; its code is the step itself on directed
-    lattices and the axis on undirected ones."""
-    v = apply_step(u, step, spec)
+def step_edge(
+    u: Sequence[int], step: int, spec: LatticeSpec, reached: Coord | None = None
+) -> tuple[Edge, int]:
+    """Edge traversed by one step from u, and the traversal sign.  The
+    edge is rooted at the tail of a positive step and the head of a
+    negative one; its code is the step itself on directed lattices and
+    the axis on undirected ones.  A caller that has already taken the
+    step passes the node it reached, so the step is not checked twice."""
+    if reached is None:
+        reached = apply_step(u, step, spec)
     axis, sign = step_axis_sign(step, spec)
-    root = tuple(u) if sign > 0 else v
-    code = step if spec.directed else axis + 1
-    return Edge(root, code), sign, v
-
-
-def step_edge(u: Sequence[int], step: int, spec: LatticeSpec) -> tuple[Edge, int]:
-    """Edge traversed by one step from u, and the traversal sign."""
-    edge, sign, _ = _traverse(u, step, spec)
-    return edge, sign
+    root = tuple(u) if sign > 0 else reached
+    return Edge(root, step if spec.directed else axis + 1), sign
 
 
 def walk_nodes(w: Walk, spec: LatticeSpec) -> list[Coord]:
@@ -151,7 +161,7 @@ def walk_nodes(w: Walk, spec: LatticeSpec) -> list[Coord]:
         raise ValueError(f"start {w.start} outside lattice {spec.dims}")
     nodes = [tuple(w.start)]
     for s in w.steps:
-        nodes.append(apply_step(nodes[-1], s, spec))
+        nodes.append(_move(nodes[-1], s, spec))
     return nodes
 
 
@@ -162,8 +172,9 @@ def walk_edges(w: Walk, spec: LatticeSpec) -> list[tuple[Edge, int]]:
         raise ValueError(f"start {w.start} outside lattice {spec.dims}")
     out = []
     for s in w.steps:
-        edge, sign, node = _traverse(node, s, spec)
-        out.append((edge, sign))
+        nxt = _move(node, s, spec)
+        out.append(step_edge(node, s, spec, nxt))
+        node = nxt
     return out
 
 

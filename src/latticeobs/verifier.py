@@ -98,7 +98,7 @@ def ambiguity_scan(
                 nxt = apply_step(node, s, spec)
             except ValueError:
                 continue
-            edge, _ = step_edge(node, s, spec)
+            edge, _ = step_edge(node, s, spec, nxt)
             color = cache.get(edge)
             if color is None:
                 color = cache[edge] = color_fn(edge)
@@ -170,7 +170,7 @@ def random_walk(
             if not legal:
                 break
             s, nxt = legal[rng.randrange(len(legal))]
-            edges.add(step_edge(node, s, spec)[0])
+            edges.add(step_edge(node, s, spec, nxt)[0])
             steps.append(s)
             node = nxt
         if len(steps) < length:

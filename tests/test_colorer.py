@@ -1,6 +1,7 @@
 """Coloring schemes: assignment, packing, palette accounting, export."""
 
 import itertools
+import random
 
 import pytest
 
@@ -15,14 +16,13 @@ from latticeobs.colorer import (
     format_header,
     lattice_edges,
     make_scheme,
-    mod3_color,
     palette_size,
     parity_bits,
     parity_group,
     parse_header,
     scheme_columns,
 )
-from latticeobs.lattice import Edge, LatticeSpec, Walk, edge_endpoints
+from latticeobs.lattice import Edge, LatticeSpec, Walk, edge_endpoints, walk_edges, walk_nodes
 
 
 def spec(dims, directed, t):
@@ -231,7 +231,7 @@ def test_mod3_is_corner_distance():
         params = make_scheme(s, "mod3-aux", origin_index=q)
         for edge in lattice_edges(s):
             dist = sum(abs(a - b) for a, b in zip(edge.root, corner))
-            assert mod3_color(edge, params) == dist % 3
+            assert assign_color(edge, params) == dist % 3
 
 
 def test_mod3_adjacent_roots_never_tie():
@@ -243,7 +243,7 @@ def test_mod3_adjacent_roots_never_tie():
         eu = next(e for e in lattice_edges(s) if e.root == u)
         ev = [e for e in lattice_edges(s) if e.root == v]
         if ev:  # the anti-origin roots nothing
-            assert mod3_color(eu, params) != mod3_color(ev[0], params)
+            assert assign_color(eu, params) != assign_color(ev[0], params)
 
 
 def test_distance_digits_match_aux_coloring():
@@ -252,17 +252,56 @@ def test_distance_digits_match_aux_coloring():
     schemes = [make_scheme(s, "mod3-aux", origin_index=q) for q in range(3)]
     for edge in lattice_edges(s):
         digits = distance_digits(edge.root, s)
-        assert digits[0] == mod3_color(edge, schemes[0])
+        assert digits[0] == assign_color(edge, schemes[0])
         for q in (1, 2):
-            assert digits[q] == (mod3_color(edge, schemes[q]) + 1) % 3
+            assert digits[q] == (assign_color(edge, schemes[q]) + 1) % 3
+
+
+def _seeded_walk(s, rng, length):
+    "A walk of `length` in-bounds steps picked uniformly at each node."
+    if s.directed:
+        menu = [(j % s.d, 1 if j < s.d else -1, j + 1) for j in range(2 * s.d)]
+    else:
+        menu = [(a, g, g * (a + 1)) for a in range(s.d) for g in (1, -1)]
+    start = node = tuple(rng.randrange(n) for n in s.dims)
+    steps = []
+    for _ in range(length):
+        axis, sign, code = rng.choice(
+            [m for m in menu if 0 <= node[m[0]] + m[1] < s.dims[m[0]]]
+        )
+        node = node[:axis] + (node[axis] + sign,) + node[axis + 1 :]
+        steps.append(code)
+    return Walk(start, tuple(steps))
 
 
 def test_color_walk_matches_per_edge_assignment():
+    """color_walk carries the root's rank from step to step; every color
+    must equal the validating per-edge assignment of the same edge."""
     params = make_scheme(spec((3, 3), True, 2), "colord")
     w = Walk((0, 0), (1, 2, 3))
     colors = color_walk(w, params)
     assert len(colors) == 3
     assert colors[0] == assign_color(Edge((0, 0), 1), params)
+    rng = random.Random(20)
+    cases = [
+        (spec((5, 5, 5), True, 4), "colord", [Walk((4, 4, 0), (3, 3, 3, 3, 6, 5, 2, 4))]),
+        (spec((4, 4, 4), False, 3), "undir", [Walk((3, 0, 3), (2, 2, 2, -3, -2, 3, -1))]),
+        (spec((16, 16), True, 4), "color2", [Walk((15, 0), (2,) * 15 + (3, 4, 1))]),
+    ]
+    for s, kind, walks in cases:
+        params = make_scheme(s, kind)
+        walks += [_seeded_walk(s, rng, rng.randrange(1, 12)) for _ in range(200)]
+        downs = tops = 0
+        for w in walks:
+            edges = walk_edges(w, s)
+            assert color_walk(w, params) == tuple(assign_color(e, params) for e, _ in edges)
+            downs += any(sign < 0 for _, sign in edges)
+            tops += any(x == n - 1 for u in walk_nodes(w, s) for x, n in zip(u, s.dims))
+        assert downs > 100 and tops > 20  # negative steps and the top boundary are covered
+    params = make_scheme(spec((3, 3), True, 2), "colord")
+    for bad in (Walk((3, 0), (3,)), Walk((0, 0), (1, 1, 1)), Walk((0, 0), (0,)), Walk((0, 0), (5,))):
+        with pytest.raises(ValueError):
+            color_walk(bad, params)
 
 
 def test_coloring_lines_format():

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from latticeobs.colorer import assign_color, color_walk, make_scheme, palette_size
+from latticeobs.colorer import assign_color, color_unpack, color_walk, make_scheme, palette_size
 from latticeobs.decoder import (
     AMBIGUOUS,
     INVALID,
@@ -284,6 +284,20 @@ def test_orientation_fault_that_cannot_fit_is_invalid():
     # then span 2 on an axis of length 2, which fits nowhere
     faulted = fault_inject(obs, 0, assign_color(Edge((0, 0), 2), params))
     assert decode(faulted).status == INVALID
+    # the minimum places inside, but the traced walk leaves the lattice
+    # at a middle step and comes back: (1,0) (2,0) (2,1) (3,1) (2,1) (1,1)
+    s = spec((3, 3), True, 2)
+    params = make_scheme(s, "colord")
+    steps = (1, 2, 1, 3, 3)
+    with pytest.raises(ValueError):
+        walk_nodes(Walk((1, 0), steps), s)
+    colors = observe(Walk((1, 0), (1, 2)), params).colors + (
+        assign_color(Edge((1, 1), 1), params),
+        assign_color(Edge((1, 1), 3), params),
+        assign_color(Edge((0, 1), 3), params),
+    )
+    assert [color_unpack(c, params).code for c in colors] == list(steps)
+    assert decode(WalkObservation(colors, params)).status == INVALID
 
 
 def test_identity_fault_changes_nothing():

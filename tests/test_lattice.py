@@ -74,6 +74,14 @@ def test_apply_step_frozen():
     assert apply_step((1, 1), -1, U33) == (0, 1)
     with pytest.raises(ValueError):
         apply_step((0, 0), -2, U33)
+    # a start outside the lattice is refused even when the step leads in
+    for u, step, s in [((3, 0), 3, D33), ((0, -1), 2, D33), ((1, 3), -2, U33), ((1,), 1, D33)]:
+        with pytest.raises(ValueError):
+            apply_step(u, step, s)
+    # bad step codes: 0 and anything past 2d (directed) or d (undirected)
+    for step, s in [(0, D33), (5, D33), (-1, D33), (0, U33), (3, U33), (-3, U33)]:
+        with pytest.raises(ValueError):
+            apply_step((1, 1), step, s)
 
 
 def test_step_edge_rooting():
@@ -92,6 +100,18 @@ def test_walk_nodes_and_edges():
     assert walk_nodes(w, D33) == [(0, 0), (1, 0), (1, 1), (0, 1)]
     roots = [e.root for e, _ in walk_edges(w, D33)]
     assert roots == [(0, 0), (1, 0), (0, 1)]
+    # a step reached from a known node roots the same edge
+    assert step_edge((1, 1), 3, D33, (0, 1)) == step_edge((1, 1), 3, D33)
+    for bad in [
+        Walk((3, 0), (3,)),  # start outside, first step leads back in
+        Walk((0, 0), (1, 1, 1, 3)),  # leaves at a middle step
+        Walk((0, 0), (1, 0)),
+        Walk((0, 0), (1, 5)),
+    ]:
+        with pytest.raises(ValueError):
+            walk_nodes(bad, D33)
+        with pytest.raises(ValueError):
+            walk_edges(bad, D33)
 
 
 def test_walk_dimension_frozen():
