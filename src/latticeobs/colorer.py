@@ -178,8 +178,11 @@ _ASSIGNERS = {
 
 def assign_color(edge: Edge, params: SchemeParams) -> int:
     """Color one edge under the scheme, validating the edge first."""
-    root, _ = edge_endpoints(edge, params.lattice)
-    return _ASSIGNERS[params.kind](root, rank(root, params.lattice), edge.code, params)
+    spec = params.lattice
+    root, _ = edge_endpoints(edge, spec)
+    # only the orthogonal-array kinds read the root's rank
+    r = rank(root, spec) if params.sigma else None
+    return _ASSIGNERS[params.kind](root, r, edge.code, params)
 
 
 @dataclass(frozen=True)

@@ -142,15 +142,14 @@ def apply_step(u: Sequence[int], step: int, spec: LatticeSpec) -> Coord:
 
 
 def step_edge(
-    u: Sequence[int], step: int, spec: LatticeSpec, reached: Coord | None = None
+    u: Sequence[int], step: int, spec: LatticeSpec, reached: Coord
 ) -> tuple[Edge, int]:
-    """Edge traversed by one step from u, and the traversal sign.  The
-    edge is rooted at the tail of a positive step and the head of a
-    negative one; its code is the step itself on directed lattices and
-    the axis on undirected ones.  A caller that has already taken the
-    step passes the node it reached, so the step is not checked twice."""
-    if reached is None:
-        reached = apply_step(u, step, spec)
+    """Edge traversed by one step from u to reached, and the traversal
+    sign.  The edge is rooted at the tail of a positive step and the
+    head of a negative one; its code is the step itself on directed
+    lattices and the axis on undirected ones.  The caller has already
+    taken the step (apply_step or a walk loop), so it is not checked
+    again."""
     axis, sign = step_axis_sign(step, spec)
     root = tuple(u) if sign > 0 else reached
     return Edge(root, step if spec.directed else axis + 1), sign

@@ -86,12 +86,12 @@ def test_apply_step_frozen():
 
 def test_step_edge_rooting():
     # up step roots at the tail, down step at the head
-    edge, sign = step_edge((1, 1), 1, D33)
+    edge, sign = step_edge((1, 1), 1, D33, apply_step((1, 1), 1, D33))
     assert (edge, sign) == (Edge((1, 1), 1), 1)
-    edge, sign = step_edge((1, 1), 3, D33)
+    edge, sign = step_edge((1, 1), 3, D33, apply_step((1, 1), 3, D33))
     assert (edge, sign) == (Edge((0, 1), 3), -1)
     # undirected edges carry the axis, not the orientation
-    edge, sign = step_edge((1, 1), -2, U33)
+    edge, sign = step_edge((1, 1), -2, U33, apply_step((1, 1), -2, U33))
     assert (edge, sign) == (Edge((1, 0), 2), -1)
 
 
@@ -100,8 +100,11 @@ def test_walk_nodes_and_edges():
     assert walk_nodes(w, D33) == [(0, 0), (1, 0), (1, 1), (0, 1)]
     roots = [e.root for e, _ in walk_edges(w, D33)]
     assert roots == [(0, 0), (1, 0), (0, 1)]
-    # a step reached from a known node roots the same edge
-    assert step_edge((1, 1), 3, D33, (0, 1)) == step_edge((1, 1), 3, D33)
+    # walk_edges roots each edge as step_edge does
+    nodes = walk_nodes(w, D33)
+    assert walk_edges(w, D33) == [
+        step_edge(u, s, D33, v) for u, s, v in zip(nodes, w.steps, nodes[1:])
+    ]
     for bad in [
         Walk((3, 0), (3,)),  # start outside, first step leads back in
         Walk((0, 0), (1, 1, 1, 3)),  # leaves at a middle step
