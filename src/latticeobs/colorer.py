@@ -19,8 +19,11 @@ Kinds:
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
 from .gfpoly import FieldPrime, ceil_nth_root, index_to_coeffs, next_prime_above, poly_eval
+# unrank goes unused here; bench/layers.py counts calls made through
+# colorer.unrank, so the name stays importable from this module.
 from .lattice import Edge, LatticeSpec, Walk, edge_endpoints, rank, unrank, walk_edges
 from .oarray import OASpec
 
@@ -125,20 +128,28 @@ def distance_digits(u, spec: LatticeSpec) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def oa_assign(root, r: int, code: int, params: SchemeParams) -> int:
-    """Orthogonal-array schemes (colord, undir): value = array entry of
-    row r (the root's rank) at the code's column, block = code, group =
-    coefficient parities of that row, extended on undirected lattices
-    by the root's ternary distance digits.  The edge must fit."""
+def oa_row(root, r: int, params: SchemeParams) -> tuple[tuple[int, ...], int]:
+    """What every edge rooted at `root` (rank r) shares under an
+    orthogonal-array scheme: the coefficients of row r, and the color
+    offset group * group_size, where group = coefficient parities of
+    that row, extended on undirected lattices by the root's ternary
+    distance digits."""
     spec = params.lattice
-    p = params.sigma
-    coeffs = index_to_coeffs(r, spec.t, p)
+    coeffs = index_to_coeffs(r, spec.t, params.sigma)
     group = parity_group(coeffs)
     if not spec.directed:
         digits = distance_digits(root, spec)
         group |= sum(dig * 3**q for q, dig in enumerate(digits)) << spec.t
-    value = poly_eval(coeffs, code, p)
-    return group * params.group_size + (code - 1) * p.modulus + value
+    return coeffs, group * params.group_size
+
+
+def oa_assign(root, r: int, code: int, params: SchemeParams) -> int:
+    """Orthogonal-array schemes (colord, undir): the root's shared
+    offset (oa_row), block = code, value = array entry of row r (the
+    root's rank) at the code's column.  The edge must fit."""
+    coeffs, base = oa_row(root, r, params)
+    p = params.sigma
+    return base + (code - 1) * p.modulus + poly_eval(coeffs, code, p)
 
 
 def color2_assign(root, r: int, code: int, params: SchemeParams) -> int:
@@ -243,14 +254,12 @@ def color_walk(w: Walk, params: SchemeParams) -> tuple[int, ...]:
 
 
 def lattice_edges(spec: LatticeSpec):
-    """All edges, ordered by (root rank, code)."""
-    codes = range(1, scheme_columns(spec) + 1)
-    for r in range(spec.size):
-        u = unrank(r, spec)
-        for c in codes:
-            axis = (c - 1) % spec.d
-            if u[axis] + 1 < spec.dims[axis]:
-                yield Edge(u, c)
+    """Every node u in rank order, as (u, rank, codes): the codes of the
+    edges u roots, ascending.  Each of those edges fits the lattice."""
+    dims = spec.dims
+    columns = [(c, (c - 1) % spec.d) for c in range(1, scheme_columns(spec) + 1)]
+    for r, u in enumerate(product(*map(range, dims))):
+        yield u, r, [c for c, axis in columns if u[axis] + 1 < dims[axis]]
 
 
 def format_header(params: SchemeParams) -> str:
@@ -262,11 +271,24 @@ def format_header(params: SchemeParams) -> str:
 
 def coloring_lines(params: SchemeParams):
     """The export format: a header line, then one `coords code color`
-    line per edge in (root rank, code) order."""
+    line per edge in (root rank, code) order.
+
+    lattice_edges yields only edges that fit, so none is validated
+    again; the parts of a color that a root's edges share (its coords
+    and, for the orthogonal-array kinds, oa_row) are computed once per
+    root."""
     yield format_header(params)
-    for edge in lattice_edges(params.lattice):
-        coords = ",".join(str(x) for x in edge.root)
-        yield f"{coords} {edge.code} {assign_color(edge, params)}"
+    p = params.sigma
+    assign = _ASSIGNERS[params.kind]
+    for root, r, codes in lattice_edges(params.lattice):
+        coords = ",".join(map(str, root))
+        if p:
+            coeffs, base = oa_row(root, r, params)
+            for c in codes:
+                yield f"{coords} {c} {base + (c - 1) * p.modulus + poly_eval(coeffs, c, p)}"
+        else:
+            for c in codes:
+                yield f"{coords} {c} {assign(root, r, c, params)}"
 
 
 def parse_header(line: str) -> SchemeParams:

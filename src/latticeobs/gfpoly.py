@@ -46,15 +46,26 @@ def next_prime_above(m: int) -> FieldPrime:
 
 
 def ceil_nth_root(value: int, k: int) -> int:
-    """Smallest c >= 1 with c**k >= value."""
+    """Smallest c >= 1 with c**k >= value.
+
+    That is one more than the floor root f of n = value - 1.  A float
+    estimate, doubled until its k-th power exceeds n, starts integer
+    Newton above f; each Newton step falls strictly until it reaches f,
+    and from a start within a factor of two that takes a few steps at
+    any size.  A value too large for a float raises OverflowError."""
     if k < 1:
         raise ValueError("root degree must be >= 1")
     if value <= 1:
         return 1
-    c = max(1, round(value ** (1.0 / k)) - 2)
-    while c**k < value:
-        c += 1
-    return c
+    n = value - 1
+    x = int(n ** (1.0 / k)) + 1
+    while x**k <= n:
+        x *= 2
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x + 1
+        x = y
 
 
 def poly_eval(coeffs: Sequence[int], x: int, p: FieldPrime) -> int:

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 from .colorer import SchemeParams, assign_color, color_walk
 from .decoder import OK, WalkObservation, decode
+from .gfpoly import ceil_nth_root
 from .lattice import (
     Edge,
     LatticeSpec,
@@ -26,10 +27,7 @@ def lower_bound_colors(spec: LatticeSpec) -> int:
     """Fewest colors any scheme answering t-dimensional walks can use:
     ceil((size / 2^d)^(1/t)), since the walk family below has size/2^d
     members whose t-color sequences must all differ."""
-    c = 1
-    while c**spec.t * 2**spec.d < spec.size:
-        c += 1
-    return c
+    return ceil_nth_root(-(-spec.size // 2**spec.d), spec.t)
 
 
 def lb_walk_family(spec: LatticeSpec) -> list[Walk]:

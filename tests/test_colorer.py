@@ -22,11 +22,16 @@ from latticeobs.colorer import (
     parse_header,
     scheme_columns,
 )
-from latticeobs.lattice import Edge, LatticeSpec, Walk, edge_endpoints, walk_edges, walk_nodes
+from latticeobs.lattice import Edge, LatticeSpec, Walk, edge_endpoints, rank, walk_edges, walk_nodes
 
 
 def spec(dims, directed, t):
     return LatticeSpec(tuple(dims), directed, t)
+
+
+def _edges(s):
+    "Every edge of s, flattened from lattice_edges' per-root codes."
+    return [Edge(u, c) for u, _, codes in lattice_edges(s) for c in codes]
 
 
 # field prime per configuration, frozen from the sizing rule
@@ -188,7 +193,7 @@ ROUNDTRIP_SCHEMES = [
 def test_unpack_inverts_assign(params):
     "Every edge color unpacks to the parts that built it."
     s = params.lattice
-    for edge in lattice_edges(s):
+    for edge in _edges(s):
         c = assign_color(edge, params)
         assert 0 <= c < palette_size(params)
         part = color_unpack(c, params)
@@ -209,7 +214,7 @@ def test_no_node_repeats_an_incident_color(params):
     edges get distinct colors."""
     s = params.lattice
     at_node = {}
-    for edge in lattice_edges(s):
+    for edge in _edges(s):
         u, v = edge_endpoints(edge, s)
         if s.directed:
             # code <= d leaves the root; code > d leaves the far end
@@ -229,7 +234,7 @@ def test_mod3_is_corner_distance():
     corners = [(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3)]
     for q, corner in enumerate(corners):
         params = make_scheme(s, "mod3-aux", origin_index=q)
-        for edge in lattice_edges(s):
+        for edge in _edges(s):
             dist = sum(abs(a - b) for a, b in zip(edge.root, corner))
             assert assign_color(edge, params) == dist % 3
 
@@ -238,10 +243,10 @@ def test_mod3_adjacent_roots_never_tie():
     "Edges rooted at adjacent nodes always get different colors."
     s = spec((3, 3), False, 1)
     params = make_scheme(s, "mod3-aux", origin_index=0)
-    for edge in lattice_edges(s):
+    for edge in _edges(s):
         u, v = edge_endpoints(edge, s)
-        eu = next(e for e in lattice_edges(s) if e.root == u)
-        ev = [e for e in lattice_edges(s) if e.root == v]
+        eu = next(e for e in _edges(s) if e.root == u)
+        ev = [e for e in _edges(s) if e.root == v]
         if ev:  # the anti-origin roots nothing
             assert assign_color(eu, params) != assign_color(ev[0], params)
 
@@ -250,7 +255,7 @@ def test_distance_digits_match_aux_coloring():
     "Stored digit q >= 1 is the aux color shifted by one."
     s = spec((3, 4), False, 1)
     schemes = [make_scheme(s, "mod3-aux", origin_index=q) for q in range(3)]
-    for edge in lattice_edges(s):
+    for edge in _edges(s):
         digits = distance_digits(edge.root, s)
         assert digits[0] == assign_color(edge, schemes[0])
         for q in (1, 2):
@@ -315,6 +320,42 @@ def test_coloring_lines_format():
         coords, code, color = line.split()
         assert 1 <= int(code) <= 4
         assert 0 <= int(color) < palette_size(params)
+
+
+def _export_schemes(rng):
+    """Every kind on small shapes beyond the golden configs: fixed
+    shapes with axes of length 2 plus seeded non-square ones, every
+    valid t and every mod3-aux origin."""
+    shapes = [(2,), (5,), (2, 5), (4, 3), (2, 2, 2), (3, 2, 4)]
+    shapes += [tuple(rng.randrange(2, 6) for _ in range(d)) for d in (1, 2, 2, 3, 3)]
+    out = []
+    for dims in shapes:
+        d = len(dims)
+        out += [make_scheme(spec(dims, True, t), "colord") for t in range(1, 2 * d + 1)]
+        for t in range(1, d + 1):
+            s = spec(dims, False, t)
+            out.append(make_scheme(s, "undir"))
+            out += [make_scheme(s, "mod3-aux", origin_index=q) for q in range(d + 1)]
+    out += [make_scheme(spec((n, n), True, 4), "color2") for n in (2, 3, 5, 7)]
+    return out
+
+
+def test_export_lines_match_assign_color():
+    """Every exported line is the validating per-edge assignment of its
+    edge, every edge appears once, in (root rank, code) order."""
+    for params in _export_schemes(random.Random(44)):
+        s = params.lattice
+        lines = list(coloring_lines(params))
+        assert lines[0] == format_header(params)
+        per_axis = [(n - 1) * (s.size // n) for n in s.dims]
+        assert len(lines) - 1 == sum(per_axis) * (2 if s.directed else 1), lines[0]
+        keys = []
+        for line in lines[1:]:
+            coords, code, color = line.split(" ")
+            edge = Edge(tuple(int(x) for x in coords.split(",")), int(code))
+            assert int(color) == assign_color(edge, params), (lines[0], line)
+            keys.append((rank(edge.root, s), edge.code))
+        assert keys == sorted(set(keys)), lines[0]
 
 
 def test_header_roundtrip():

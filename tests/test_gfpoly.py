@@ -1,5 +1,7 @@
 """Field arithmetic, index codecs, and interpolation."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -63,7 +65,15 @@ def test_field_prime_rejects_composite():
 
 @pytest.mark.parametrize(
     "value,k,expected",
-    [(1, 1, 1), (16, 4, 2), (81, 4, 3), (82, 4, 4), (24, 2, 5), (25, 2, 5), (26, 2, 6)],
+    [
+        (1, 1, 1), (16, 4, 2), (81, 4, 3), (82, 4, 4), (24, 2, 5), (25, 2, 5), (26, 2, 6),
+        # exact powers past float precision: a float root alone is off here
+        ((10**20 + 12345) ** 2, 2, 10**20 + 12345),
+        ((10**25 + 99) ** 2, 2, 10**25 + 99),
+        ((10**25 + 99) ** 2 + 1, 2, 10**25 + 100),
+        ((10**25 + 99) ** 3, 3, 10**25 + 99),
+        ((10**25 + 99) ** 3 - 1, 3, 10**25 + 99),
+    ],
 )
 def test_ceil_nth_root_frozen(value, k, expected):
     assert ceil_nth_root(value, k) == expected
@@ -74,6 +84,17 @@ def test_ceil_nth_root_is_minimal(value, k):
     c = ceil_nth_root(value, k)
     assert c**k >= value
     assert c == 1 or (c - 1) ** k < value
+
+
+def test_ceil_nth_root_minimal_near_large_powers():
+    "Values within a few units of a k-th power, up to 10^300, k <= 6."
+    rng = random.Random(61)
+    for _ in range(3000):
+        k = rng.randrange(1, 7)
+        base = rng.randrange(2, 10 ** rng.randrange(1, 300 // k + 1) + 2)
+        value = base**k + rng.randrange(-3, 4)
+        c = ceil_nth_root(value, k)
+        assert c**k >= value and (c - 1) ** k < value, (value, k)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Bounds, oracles, walk generation, and campaign drivers."""
 
+import itertools
+
 import pytest
 
 from latticeobs.colorer import make_scheme, color_walk, palette_size
@@ -35,6 +37,14 @@ def test_lower_bound_frozen(dims, t, expected):
     assert lower_bound_colors(spec(dims, True, t)) == expected
 
 
+def _scanned_lower_bound(s):
+    "Reference: count c up until c^t walks per node block cover the lattice."
+    c = 1
+    while c**s.t * 2**s.d < s.size:
+        c += 1
+    return c
+
+
 def test_lower_bound_is_minimal():
     "The bound is the least c with c^t walks per node block."
     for dims, t in [((4, 4), 2), ((6, 4), 3), ((16, 16), 4)]:
@@ -42,6 +52,23 @@ def test_lower_bound_is_minimal():
         c = lower_bound_colors(s)
         assert c**t * 2**s.d >= s.size
         assert c == 1 or (c - 1) ** t * 2**s.d < s.size
+    checked = 0
+    for d in (1, 2, 3):
+        for dims in itertools.product(range(2, 7), repeat=d):
+            for directed in (True, False):
+                for t in range(1, (2 * d if directed else d) + 1):
+                    s = spec(dims, directed, t)
+                    assert lower_bound_colors(s) == _scanned_lower_bound(s), (dims, t)
+                    checked += 1
+    assert checked == 1290
+
+
+def test_lower_bound_on_huge_lattice_is_immediate():
+    "10^27 nodes: a scan would take about 10^13 steps; the root is exact."
+    s = spec((10**9,) * 3, False, 2)
+    c = lower_bound_colors(s)
+    assert c == 11180339887499  # ceil(sqrt(10^27 / 8))
+    assert c**2 * 8 >= s.size > (c - 1) ** 2 * 8
 
 
 def test_lb_walk_family_structure():
