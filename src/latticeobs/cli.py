@@ -13,6 +13,7 @@ parameters, 3 ambiguous observation, 4 invalid observation.
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 import tempfile
@@ -167,7 +168,11 @@ def _add_lattice_args(p: argparse.ArgumentParser, schemes=("colord", "color2", "
                    help="reference corner for mod3-aux")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process.  Each subcommand names
+    its handler, and main looks the name up at call time, so a handler
+    replaced on this module still takes effect after the tree is built."""
     parser = argparse.ArgumentParser(
         prog="latticeobs",
         description="Color lattice graphs so walks can be located from colors alone.",
@@ -177,12 +182,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_color = sub.add_parser("color", help="write a full edge coloring to a file")
     _add_lattice_args(p_color)
     p_color.add_argument("--out", required=True, help="output path (atomic write)")
-    p_color.set_defaults(func=cmd_color)
+    p_color.set_defaults(func="cmd_color")
 
     p_decode = sub.add_parser("decode", help="locate a walk from its colors")
     p_decode.add_argument("--coloring", required=True, help="coloring file from `color`")
     p_decode.add_argument("--colors", required=True, help="comma-separated color ids")
-    p_decode.set_defaults(func=cmd_decode)
+    p_decode.set_defaults(func="cmd_decode")
 
     p_verify = sub.add_parser("verify", help="verification campaigns")
     vsub = p_verify.add_subparsers(dest="mode", required=True)
@@ -193,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rt.add_argument("--seed", type=int, default=0)
     p_rt.add_argument("--length", type=int, default=0, help="walk length (default t+4)")
     p_rt.add_argument("--min-distinct-edges", dest="min_distinct_edges", type=int, default=1)
-    p_rt.set_defaults(func=cmd_verify_roundtrip)
+    p_rt.set_defaults(func="cmd_verify_roundtrip")
 
     p_scan = vsub.add_parser("scan", help="exhaustive collision scan")
     _add_lattice_args(p_scan)
@@ -204,18 +209,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--exclude-single-edge", dest="exclude_single_edge",
                         action="store_true",
                         help="skip walks that re-cross a single edge")
-    p_scan.set_defaults(func=cmd_verify_scan)
+    p_scan.set_defaults(func="cmd_verify_scan")
 
     p_oa = vsub.add_parser("oa", help="orthogonal-array projection check")
     p_oa.add_argument("--sigma", type=int, required=True)
     p_oa.add_argument("--t", type=int, required=True)
     p_oa.add_argument("--cols", type=int, required=True)
     p_oa.add_argument("--budget", type=int, default=10_000_000)
-    p_oa.set_defaults(func=cmd_verify_oa)
+    p_oa.set_defaults(func="cmd_verify_oa")
 
     p_bound = vsub.add_parser("bound", help="lower bound vs palette size")
     _add_lattice_args(p_bound)
-    p_bound.set_defaults(func=cmd_verify_bound)
+    p_bound.set_defaults(func="cmd_verify_bound")
 
     return parser
 
@@ -223,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

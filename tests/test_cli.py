@@ -1,6 +1,7 @@
 """Command-line interface: outputs, files, exit codes."""
 
 import sys
+import time
 
 import pytest
 
@@ -226,6 +227,40 @@ def test_verify_bound_undirected(capsys):
     )
     assert code == 0
     assert stdout.strip() == "lower=2 palette=360"
+
+
+def test_composite_sigma_near_10_to_30_exits_2_at_once(capsys):
+    "A semiprime with two 16-digit factors: trial division would not finish."
+    semiprime = (10**15 + 37) * (10**15 + 91)
+    t0 = time.perf_counter()
+    code, _, err = run(
+        capsys, "verify", "bound", "--dims", "4x4", "--t", "2", "--sigma", str(semiprime)
+    )
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert f"error: {semiprime} is not prime" in err
+
+
+def test_verify_bound_accepts_prime_sigma_above_deterministic_bound(capsys):
+    sigma = 2**89 - 1
+    code, stdout, _ = run(
+        capsys, "verify", "bound", "--dims", "4x4", "--t", "2", "--sigma", str(sigma)
+    )
+    assert code == 0
+    assert stdout.strip() == f"lower=2 palette={2**2 * 2 * 2 * sigma}"
+
+
+def test_verify_bound_on_10_to_36_nodes(capsys):
+    "sigma = 10^18 + 3, the first prime above the square root of 10^36."
+    t0 = time.perf_counter()
+    code, stdout, _ = run(
+        capsys, "verify", "bound", "--dims", "x".join(["1" + "0" * 12] * 3), "--t", "2"
+    )
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0
+    lower = 353553390593273763  # ceil(sqrt(10^36 / 8))
+    assert lower**2 * 8 >= 10**36 > (lower - 1) ** 2 * 8
+    assert stdout.strip() == f"lower={lower} palette={4 * 6 * (10**18 + 3)}"
 
 
 def test_entry_raises_system_exit(monkeypatch, capsys):

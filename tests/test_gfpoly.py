@@ -1,6 +1,7 @@
 """Field arithmetic, index codecs, and interpolation."""
 
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ import hypothesis.strategies as st
 
 from latticeobs.gfpoly import (
     FieldPrime,
+    _bpsw,
     base_digits,
     ceil_nth_root,
     coeffs_to_index,
@@ -54,6 +56,93 @@ def test_next_prime_bertrand():
 def test_is_prime_matches_oracle():
     for n in range(-3, 300):
         assert is_prime(n) == oracle_is_prime(n)
+
+
+def _sieve(limit):
+    "Primality flags for 0 <= n < limit, by the sieve of Eratosthenes."
+    flags = bytearray([1]) * limit
+    flags[:2] = b"\0\0"
+    for q in range(2, isqrt(limit - 1) + 1):
+        if flags[q]:
+            flags[q * q :: q] = bytes(len(range(q * q, limit, q)))
+    return flags
+
+
+def test_is_prime_matches_sieve_below_a_million():
+    flags = _sieve(10**6)
+    assert [n for n in range(10**6) if is_prime(n)] == [n for n in range(10**6) if flags[n]]
+
+
+def test_bpsw_matches_sieve():
+    "The test used above the deterministic bound, run on small odd n."
+    flags = _sieve(10**5)
+    for n in range(43, 10**5, 2):
+        assert _bpsw(n) == bool(flags[n]), n
+
+
+MR_BOUND = 3317044064679887385961981
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        # least strong pseudoprimes to the first k prime bases, k = 1 ... 13;
+        # the last one is the deterministic bound and goes to BPSW
+        2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 3825123056546413051, 318665857834031151167461, MR_BOUND,
+        # Carmichael numbers
+        561, 41041, 825265,
+    ],
+)
+def test_strong_pseudoprimes_are_composite(n):
+    assert not is_prime(n)
+
+
+def _strong_probable_prime_base_2(n):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(2, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**r, n) == n - 1 for r in range(1, s))
+
+
+def test_lucas_step_rejects_base_2_pseudoprime_above_bound():
+    "A Carmichael number above the bound that passes the base-2 step."
+    k = 13682706
+    n = (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+    assert n > MR_BOUND and _strong_probable_prime_base_2(n)
+    assert not is_prime(n)
+
+
+@pytest.mark.parametrize("e", [89, 127, 521])
+def test_mersenne_primes_above_bound(e):
+    assert 2**e - 1 > MR_BOUND
+    assert is_prime(2**e - 1)
+
+
+def test_mersenne_composite_below_bound():
+    assert not is_prime(2**67 - 1)  # 193707721 * 761838257287
+
+
+# primes: 2^89 - 1, 2^127 - 1, 10^13 + 37, 10^13 + 51
+@pytest.mark.parametrize(
+    "n",
+    [
+        2**257 - 1,
+        (2**89 - 1) ** 2,
+        (2**127 - 1) ** 2,
+        (10**13 + 37) ** 2,
+        (10**13 + 37) * (10**13 + 51),
+        (10**13 + 51) * (2**89 - 1),
+    ],
+)
+def test_composites_above_bound(n):
+    assert n > MR_BOUND
+    assert not is_prime(n)
+
+
+def test_next_prime_above_10_to_18():
+    assert next_prime_above(10**18).modulus == 10**18 + 3
 
 
 def test_field_prime_rejects_composite():

@@ -207,6 +207,27 @@ def test_roundtrip_campaign_undirected():
     assert (report.ok, report.total) == (30, 30)
 
 
+@pytest.mark.parametrize(
+    "dims,directed,t,kind,sigma",
+    [
+        ((10**9,) * 2, True, 2, "colord", 10**9 + 7),
+        ((10**30,) * 2, True, 2, "colord", 10**30 + 57),
+        ((10**150,) * 2, True, 2, "colord", 10**150 + 67),
+        ((10**10,) * 3, False, 2, "undir", 10**15 + 37),
+        ((10**9,) * 2, True, 4, "color2", None),
+    ],
+    ids=["colord-1e18", "colord-1e60", "colord-1e300", "undir-1e30", "color2-1e18"],
+)
+def test_roundtrip_campaign_on_huge_lattices(dims, directed, t, kind, sigma):
+    "10^18 to 10^300 nodes: sized in milliseconds, every walk decoded exactly."
+    params = make_scheme(spec(dims, directed, t), kind)
+    assert (params.sigma.modulus if params.sigma else None) == sigma
+    report = roundtrip_campaign(
+        params, t=t, n_walks=40, length=t + 4, seed=17, min_distinct_edges=2
+    )
+    assert (report.ok, report.total) == (40, 40)
+
+
 def test_campaign_lines_are_reproducible():
     params = make_scheme(spec((4, 4), False, 2), "undir")
     runs = [
