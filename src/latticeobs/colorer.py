@@ -24,7 +24,7 @@ from itertools import product
 from .gfpoly import FieldPrime, ceil_nth_root, index_to_coeffs, next_prime_above, poly_eval
 # unrank goes unused here; bench/layers.py counts calls made through
 # colorer.unrank, so the name stays importable from this module.
-from .lattice import Edge, LatticeSpec, Walk, edge_endpoints, rank, unrank, walk_edges
+from .lattice import Edge, LatticeSpec, Walk, edge_endpoints, in_bounds, rank, unrank
 from .oarray import OASpec
 
 KINDS = ("colord", "color2", "undir", "mod3-aux")
@@ -236,20 +236,38 @@ def color_unpack(c: int, params: SchemeParams) -> UnpackedColor:
 def color_walk(w: Walk, params: SchemeParams) -> tuple[int, ...]:
     """Ground-truth observation: the color of each edge w traverses.
 
-    walk_edges checks the start once and each step's moved coordinate;
-    the root's rank then moves by the step axis's weight, so no edge is
-    validated or ranked again."""
+    One pass over the steps, in rank space: the start is checked and
+    ranked once; each step code is looked up in the lattice's step
+    table, only the coordinate it moves is checked, and the current
+    node and its rank move together.  A bad code, a bad start or a step
+    that leaves the lattice raises ValueError.  An up step's edge is
+    rooted at the node it leaves, a down step's at the node it reaches,
+    so no edge is built, validated or ranked on its own."""
     spec = params.lattice
     assign = _ASSIGNERS[params.kind]
-    weights, d = spec.weights, spec.d
-    edges = walk_edges(w, spec)
-    r = rank(w.start, spec)
+    table, dims, weights, directed = spec.step_table, spec.dims, spec.weights, spec.directed
+    if not in_bounds(w.start, spec):
+        raise ValueError(f"start {w.start} outside lattice {spec.dims}")
+    node = list(w.start)
+    r = rank(node, spec)
     colors = []
-    for edge, sign in edges:
-        # r is the current node's rank; a down step's root is its head
-        dr = sign * weights[(edge.code - 1) % d]
-        colors.append(assign(edge.root, r if sign > 0 else r + dr, edge.code, params))
-        r += dr
+    for s in w.steps:
+        move = table.get(s)
+        if move is None:
+            raise ValueError(f"bad step code {s} for this lattice")
+        axis, sign = move
+        x = node[axis] + sign
+        if not 0 <= x < dims[axis]:
+            raise ValueError(f"step {s} leaves the lattice at {tuple(node)}")
+        code = s if directed else axis + 1
+        if sign > 0:
+            colors.append(assign(node, r, code, params))
+            node[axis] = x
+            r += weights[axis]
+        else:
+            node[axis] = x
+            r -= weights[axis]
+            colors.append(assign(node, r, code, params))
     return tuple(colors)
 
 

@@ -116,11 +116,14 @@ class FieldPrime:
 
 
 def next_prime_above(m: int) -> FieldPrime:
-    """Smallest prime strictly greater than m."""
+    """Smallest prime strictly greater than m.  The loop has already
+    tested the result, so it is built without FieldPrime's own test."""
     n = max(m, 1) + 1
     while not is_prime(n):
         n += 1
-    return FieldPrime(n)
+    p = object.__new__(FieldPrime)
+    object.__setattr__(p, "modulus", n)
+    return p
 
 
 def ceil_nth_root(value: int, k: int) -> int:

@@ -5,18 +5,19 @@ fault injection, and round-trip drives of the decoders.
 
 import itertools
 import random
-from collections import Counter
 from dataclasses import dataclass
 
-from .colorer import SchemeParams, assign_color, color_walk
+from .colorer import SchemeParams, assign_color, color_walk, scheme_columns
 from .decoder import OK, WalkObservation, decode
 from .gfpoly import ceil_nth_root
+# apply_step goes unused here; bench/layers.py counts calls made through
+# verifier.apply_step, so the name stays importable from this module.
 from .lattice import (
     Edge,
     LatticeSpec,
     Walk,
     apply_step,
-    step_edge,
+    rank,
     unrank,
     walk_dimension,
     walk_nodes,
@@ -74,60 +75,79 @@ def ambiguity_scan(
     (undirected schemes leave those ambiguous by design).  color_fn
     overrides the scheme's assigner, e.g. to show a broken coloring
     collides.
+
+    The search runs on node ranks.  The first time it reaches a node it
+    builds the node's successor list, one (next rank, edge id, color,
+    mark) per step that stays inside, and keeps it; so memory grows with
+    the edges of the nodes visited, and a budget refusal on a huge
+    lattice comes before more than a few nodes are built.  Each edge is
+    colored once, through color_fn.  End nodes are kept as ranks; rank
+    order is lexicographic order, so only reported ends are unranked.
     """
     spec = params.lattice
     if color_fn is None:
         color_fn = lambda e: assign_color(e, params)
-    if spec.directed:
-        step_menu = list(range(1, 2 * spec.d + 1))
-    else:
-        step_menu = [s for a in range(1, spec.d + 1) for s in (a, -a)]
-    cache: dict[Edge, int] = {}
-    groups: dict[tuple, set] = {}
-    scanned = 0
-    colors: list[int] = []
-    edges_used: Counter = Counter()
-    marks_used: Counter = Counter()
+    dims, weights, directed = spec.dims, spec.weights, spec.directed
+    n_codes = scheme_columns(spec)
+    moves = spec.step_table.items()
+    colors: dict[int, int] = {}  # edge id -> color
+    successors: dict[int, list] = {}
+    marks = [0] * (n_codes + 1)  # walk steps per orientation or axis
+    ends: dict[tuple, int] = {}  # color sequence -> first end rank
+    clashes: dict[tuple, set] = {}  # color sequence -> every end rank
+    scanned = distinct = 0
 
-    def extend(node, depth):
-        nonlocal scanned
-        for s in step_menu:
-            try:
-                nxt = apply_step(node, s, spec)
-            except ValueError:
+    def build(r):
+        u = unrank(r, spec)
+        out = []
+        for s, (axis, sign) in moves:
+            x = u[axis] + sign
+            if not 0 <= x < dims[axis]:
                 continue
-            edge, _ = step_edge(node, s, spec, nxt)
-            color = cache.get(edge)
+            nxt = r + sign * weights[axis]
+            code = s if directed else axis + 1
+            root, root_rank = (u, r) if sign > 0 else (u[:axis] + (x,) + u[axis + 1 :], nxt)
+            edge = root_rank * n_codes + code - 1
+            color = colors.get(edge)
             if color is None:
-                color = cache[edge] = color_fn(edge)
-            mark = s if spec.directed else abs(s)
-            colors.append(color)
-            edges_used[edge] += 1
-            marks_used[mark] += 1
+                color = colors[edge] = color_fn(Edge(root, code))
+            # the mark, the step's orientation or axis, is the edge's code
+            out.append((nxt, edge, color, code))
+        successors[r] = out
+        return out
+
+    def extend(r, depth, seq, lone):
+        # lone: the one edge the walk has kept to, None before its first
+        # step, -1 once it has used two
+        nonlocal scanned, distinct
+        succ = successors.get(r)
+        if succ is None:
+            succ = build(r)
+        for nxt, edge, color, mark in succ:
             scanned += 1
             if scanned > budget:
                 raise ValueError(f"scan exceeded budget of {budget} walks")
-            if len(marks_used) >= t_min and not (
-                exclude_single_edge and len(edges_used) < 2
-            ):
-                groups.setdefault(tuple(colors), set()).add(nxt)
+            walk = seq + (color,)
+            one = edge if lone is None or lone == edge else -1
+            if not marks[mark]:
+                distinct += 1
+            marks[mark] += 1
+            if distinct >= t_min and not (exclude_single_edge and one >= 0):
+                first = ends.setdefault(walk, nxt)
+                if first != nxt:
+                    clashes.setdefault(walk, {first}).add(nxt)
             if depth < max_len:
-                extend(nxt, depth + 1)
-            colors.pop()
-            edges_used[edge] -= 1
-            if not edges_used[edge]:
-                del edges_used[edge]
-            marks_used[mark] -= 1
-            if not marks_used[mark]:
-                del marks_used[mark]
+                extend(nxt, depth + 1, walk, one)
+            marks[mark] -= 1
+            if not marks[mark]:
+                distinct -= 1
 
     for r in range(spec.size):
-        extend(unrank(r, spec), 1)
+        extend(r, 1, (), None)
     collisions = tuple(
         sorted(
-            (seq, tuple(sorted(ends)))
-            for seq, ends in groups.items()
-            if len(ends) > 1
+            (seq, tuple(unrank(e, spec) for e in sorted(ranks)))
+            for seq, ranks in clashes.items()
         )
     )
     return ScanReport(scanned, max_len, collisions, not collisions)
@@ -142,35 +162,44 @@ def random_walk(
     max_tries: int = 10_000,
 ) -> Walk:
     """Seeded walk of exactly `length` steps spanning exactly t
-    orientations (directed) or axes (undirected).  Same seed, same walk."""
+    orientations (directed) or axes (undirected).  Same seed, same walk.
+
+    Each try draws t orientations or axes and a start, then steps to a
+    uniformly drawn legal move; a move is legal when the one coordinate
+    it changes stays inside its axis.  The node's rank moves with it,
+    so distinct edges are counted by their root's rank and code."""
     spec = params.lattice
-    menu = list(range(1, (2 * spec.d if spec.directed else spec.d) + 1))
+    n_codes = scheme_columns(spec)
+    menu = list(range(1, n_codes + 1))
     if not 1 <= t <= len(menu):
         raise ValueError(f"t={t} not realizable on this lattice")
     if length < t:
         raise ValueError("dimension t needs at least t steps")
+    dims, weights, table = spec.dims, spec.weights, spec.step_table
     rng = random.Random(seed)
     for _ in range(max_tries):
         allowed = sorted(rng.sample(menu, t))
         if not spec.directed:
             allowed = [s for a in allowed for s in (a, -a)]
-        node = tuple(rng.randrange(n) for n in spec.dims)
-        start = node
+        # (step, axis, sign, rank change, edge code), in the order of allowed
+        moves = []
+        for s in allowed:
+            axis, sign = table[s]
+            moves.append((s, axis, sign, sign * weights[axis], s if spec.directed else axis + 1))
+        node = [rng.randrange(n) for n in dims]
+        start = tuple(node)
+        r = rank(start, spec)
         steps = []
-        edges = set()
+        edges = set()  # edge ids, as ambiguity_scan numbers them
         for _ in range(length):
-            legal = []
-            for s in allowed:
-                try:
-                    legal.append((s, apply_step(node, s, spec)))
-                except ValueError:
-                    continue
+            legal = [m for m in moves if 0 <= node[m[1]] + m[2] < dims[m[1]]]
             if not legal:
                 break
-            s, nxt = legal[rng.randrange(len(legal))]
-            edges.add(step_edge(node, s, spec, nxt)[0])
+            s, axis, sign, dr, code = legal[rng.randrange(len(legal))]
+            edges.add((r if sign > 0 else r + dr) * n_codes + code - 1)
             steps.append(s)
-            node = nxt
+            node[axis] += sign
+            r += dr
         if len(steps) < length:
             continue
         w = Walk(start, tuple(steps))

@@ -309,6 +309,26 @@ def test_color_walk_matches_per_edge_assignment():
             color_walk(bad, params)
 
 
+def test_color_walk_errors():
+    "Each refusal names its cause; a bad start is reported before any step."
+    directed = make_scheme(spec((3, 3), True, 2), "colord")
+    undirected = make_scheme(spec((3, 3), False, 2), "undir")
+    cases = [
+        (directed, Walk((0, 0), (1, 5)), r"bad step code 5 for this lattice"),
+        (undirected, Walk((0, 0), (1, 3)), r"bad step code 3 for this lattice"),
+        (undirected, Walk((1, 1), (0,)), r"bad step code 0 for this lattice"),
+        (directed, Walk((3, 0), (9,)), r"start \(3, 0\) outside lattice \(3, 3\)"),
+        (directed, Walk((0, 0, 0), (1,)), r"start \(0, 0, 0\) outside lattice"),
+        (undirected, Walk((0, -1), ()), r"start \(0, -1\) outside lattice"),
+        (directed, Walk((0, 0), (1, 1, 1)), r"step 1 leaves the lattice at \(2, 0\)"),
+        (directed, Walk((1, 1), (4, 4)), r"step 4 leaves the lattice at \(1, 0\)"),
+        (undirected, Walk((0, 2), (1, -2, 2, 2)), r"step 2 leaves the lattice at \(1, 2\)"),
+    ]
+    for params, w, message in cases:
+        with pytest.raises(ValueError, match=message):
+            color_walk(w, params)
+
+
 def test_coloring_lines_format():
     params = make_scheme(spec((4, 4), True, 4), "colord")
     lines = list(coloring_lines(params))

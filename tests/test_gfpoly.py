@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from latticeobs import gfpoly
 from latticeobs.gfpoly import (
     FieldPrime,
     _bpsw,
@@ -143,6 +144,22 @@ def test_composites_above_bound(n):
 
 def test_next_prime_above_10_to_18():
     assert next_prime_above(10**18).modulus == 10**18 + 3
+
+
+def test_next_prime_above_tests_each_candidate_once(monkeypatch):
+    "10^18 + 1, + 2 and + 3 are each tested once; the result is not retested."
+    tested = []
+
+    def counting(n):
+        tested.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(gfpoly, "is_prime", counting)
+    p = next_prime_above(10**18)
+    assert tested == [10**18 + 1, 10**18 + 2, 10**18 + 3]
+    assert p == FieldPrime(10**18 + 3)
+    assert hash(p) == hash(FieldPrime(10**18 + 3))
+    assert repr(p) == "FieldPrime(modulus=1000000000000000003)"
 
 
 def test_field_prime_rejects_composite():

@@ -1,12 +1,22 @@
 """Bounds, oracles, walk generation, and campaign drivers."""
 
+import hashlib
 import itertools
+import time
 
 import pytest
 
-from latticeobs.colorer import make_scheme, color_walk, palette_size
+from latticeobs.colorer import assign_color, make_scheme, color_walk, palette_size
 from latticeobs.decoder import WalkObservation
-from latticeobs.lattice import LatticeSpec, Walk, walk_dimension, walk_edges, walk_nodes
+from latticeobs.lattice import (
+    LatticeSpec,
+    Walk,
+    apply_step,
+    step_edge,
+    walk_dimension,
+    walk_edges,
+    walk_nodes,
+)
 from latticeobs.verifier import (
     CampaignReport,
     ambiguity_scan,
@@ -142,6 +152,116 @@ def test_ambiguity_scan_single_edge_filter():
     assert not loose.ok
     strict = ambiguity_scan(params, max_len=2, t_min=1, exclude_single_edge=True)
     assert strict.ok
+
+
+def _reference_scan(params, max_len, t_min, exclude_single_edge=False, color_fn=None):
+    """(scanned, collisions) of ambiguity_scan, from a plain enumeration:
+    every start, every step that apply_step takes, each edge from
+    step_edge colored afresh, the dimension from walk_dimension."""
+    spec = params.lattice
+    if color_fn is None:
+        color_fn = lambda e: assign_color(e, params)
+    groups = {}
+    scanned = 0
+
+    def extend(start, node, steps, edges, colors):
+        nonlocal scanned
+        for s in spec.step_table:
+            try:
+                nxt = apply_step(node, s, spec)
+            except ValueError:
+                continue
+            edge, _ = step_edge(node, s, spec, nxt)
+            walk = Walk(start, steps + (s,))
+            seq = colors + (color_fn(edge),)
+            scanned += 1
+            single = len(set(edges + (edge,))) < 2
+            if walk_dimension(walk, spec) >= t_min and not (exclude_single_edge and single):
+                groups.setdefault(seq, set()).add(nxt)
+            if len(walk.steps) < max_len:
+                extend(start, nxt, walk.steps, edges + (edge,), seq)
+
+    for start in itertools.product(*map(range, spec.dims)):
+        extend(start, start, (), (), ())
+    collisions = tuple(
+        sorted((seq, tuple(sorted(ends))) for seq, ends in groups.items() if len(ends) > 1)
+    )
+    return scanned, collisions
+
+
+def _assert_scan_matches_reference(params, max_len, t_min, **kwargs):
+    report = ambiguity_scan(params, max_len, t_min, **kwargs)
+    scanned, collisions = _reference_scan(params, max_len, t_min, **kwargs)
+    assert (report.scanned, report.collisions) == (scanned, collisions)
+    assert report.ok == (collisions == ())
+    return report
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (3, 4)])
+@pytest.mark.parametrize("t_min", [1, 2, 3])
+def test_ambiguity_scan_matches_reference_directed(dims, t_min):
+    params = make_scheme(spec(dims, True, 2), "colord")
+    _assert_scan_matches_reference(params, 4, t_min)
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (2, 3, 2)])
+@pytest.mark.parametrize("t_min", [1, 2])
+@pytest.mark.parametrize("exclude", [False, True])
+def test_ambiguity_scan_matches_reference_undirected(dims, t_min, exclude):
+    params = make_scheme(spec(dims, False, t_min), "undir")
+    report = _assert_scan_matches_reference(params, 4, t_min, exclude_single_edge=exclude)
+    if t_min == 1 and not exclude:
+        assert not report.ok  # single-edge oscillations collide by design
+
+
+@pytest.mark.parametrize("directed,kind", [(True, "colord"), (False, "undir")])
+def test_ambiguity_scan_matches_reference_on_broken_coloring(directed, kind):
+    "A three-color coloring must collide, and in the same places."
+    params = make_scheme(spec((3, 3), directed, 2), kind)
+    report = _assert_scan_matches_reference(
+        params, 3, 1, exclude_single_edge=not directed,
+        color_fn=lambda e: (e.code + e.root[0]) % 3,
+    )
+    assert not report.ok
+
+
+def test_ambiguity_scan_budget_on_huge_lattice_is_immediate():
+    "10^27 nodes: successors are built per node reached, so a small budget refuses at once."
+    params = make_scheme(spec((10**9,) * 3, True, 2), "colord")
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="budget of 100 walks"):
+        ambiguity_scan(params, max_len=4, t_min=2, budget=100)
+    assert time.perf_counter() - t0 < 1
+
+
+# dims, directed, t, kind, min distinct edges -> sha256 of (start, steps)
+# over seeds 0..199, walks of t + 4 steps
+RANDOM_WALK_DIGESTS = {
+    ((5, 5, 5), True, 4, "colord", 1):
+        "0a90bb0de005d3abeedfc93fb45419da6bf716057c699a9107ed1956ea7bac7a",
+    ((4, 6), True, 3, "colord", 1):
+        "360e195c8e042cacb22a52ca27a354762946d0cfaa7e3963053712da35dc1196",
+    ((4, 4, 4), False, 3, "undir", 2):
+        "5d37b79933fe70c0b60c8d96a83359ffc60df4fb8f9790ff450590c6a672aa3c",
+    ((4, 4), False, 1, "undir", 1):
+        "c771597d4431d5b28e1600f8d8f430ea9f4059a51e099c26a66c4aaeb28e4060",
+    # one axis with two edges: min_distinct_edges rejects the oscillations
+    ((3, 3), False, 1, "undir", 2):
+        "22ec36dff26e5ab2366810af5d3584c3a1cc96f45125abd86e8f2467456d1d5f",
+}
+
+
+@pytest.mark.parametrize("config", list(RANDOM_WALK_DIGESTS), ids=str)
+def test_random_walk_output_pinned(config):
+    "Seeded walks feed campaign lines() and golden digests; they must not move."
+    dims, directed, t, kind, min_edges = config
+    params = make_scheme(spec(dims, directed, t), kind)
+    h = hashlib.sha256()
+    for seed in range(200):
+        w = random_walk(params, t, t + 4, seed, min_edges)
+        assert len({e for e, _ in walk_edges(w, params.lattice)}) >= min_edges
+        h.update(repr((w.start, w.steps)).encode() + b"\n")
+    assert h.hexdigest() == RANDOM_WALK_DIGESTS[config]
 
 
 def test_random_walk_deterministic():
