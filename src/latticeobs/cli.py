@@ -17,6 +17,7 @@ import functools
 import os
 import sys
 import tempfile
+from itertools import islice
 
 from .colorer import (
     coloring_lines,
@@ -63,13 +64,21 @@ def _default_length(spec: LatticeSpec) -> int:
     return spec.t + 4
 
 
+def _newline_chunks(lines):
+    """The lines, each ended by a newline, joined 1024 at a time, so a
+    long stream is written in bounded pieces and never held whole."""
+    lines = iter(lines)
+    while chunk := list(islice(lines, 1024)):
+        chunk.append("")
+        yield "\n".join(chunk)
+
+
 def _write_atomic(path: str, lines) -> None:
     target = os.path.abspath(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".latticeobs-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            for line in lines:
-                fh.write(line + "\n")
+            fh.writelines(_newline_chunks(lines))
         os.replace(tmp, target)
     except BaseException:
         with contextlib.suppress(OSError):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
-from .gfpoly import FieldPrime, ceil_nth_root, index_to_coeffs, next_prime_above, poly_eval
+from .gfpoly import FieldPrime, ceil_nth_root, next_prime_above, poly_eval
 # unrank goes unused here; bench/layers.py counts calls made through
 # colorer.unrank, so the name stays importable from this module.
 from .lattice import Edge, LatticeSpec, Walk, edge_endpoints, in_bounds, rank, unrank
@@ -128,28 +128,35 @@ def distance_digits(u, spec: LatticeSpec) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def oa_row(root, r: int, params: SchemeParams) -> tuple[tuple[int, ...], int]:
-    """What every edge rooted at `root` (rank r) shares under an
-    orthogonal-array scheme: the coefficients of row r, and the color
-    offset group * group_size, where group = coefficient parities of
-    that row, extended on undirected lattices by the root's ternary
-    distance digits."""
-    spec = params.lattice
-    coeffs = index_to_coeffs(r, spec.t, params.sigma)
-    group = parity_group(coeffs)
-    if not spec.directed:
-        digits = distance_digits(root, spec)
-        group |= sum(dig * 3**q for q, dig in enumerate(digits)) << spec.t
-    return coeffs, group * params.group_size
+def _distance_group(u, spec: LatticeSpec) -> int:
+    """u's distance digits packed base 3, digit 0 lowest, shifted above
+    the t parity bits of the color group."""
+    return sum(dig * 3**q for q, dig in enumerate(distance_digits(u, spec))) << spec.t
+
+
+def _row_coeffs(r: int, t: int, m: int) -> list[int]:
+    """Coefficients of array row r: its t base-m digits, leading first.
+    Unchecked, unlike gfpoly.base_digits: make_scheme guarantees every
+    rank is below m**t."""
+    coeffs = [0] * t
+    for k in range(t - 1, -1, -1):
+        r, coeffs[k] = divmod(r, m)
+    return coeffs
 
 
 def oa_assign(root, r: int, code: int, params: SchemeParams) -> int:
-    """Orthogonal-array schemes (colord, undir): the root's shared
-    offset (oa_row), block = code, value = array entry of row r (the
-    root's rank) at the code's column.  The edge must fit."""
-    coeffs, base = oa_row(root, r, params)
+    """Orthogonal-array schemes (colord, undir): offset group *
+    group_size, where group = coefficient parities of row r (the root's
+    rank), extended on undirected lattices by the root's ternary
+    distance digits; block = code; value = array entry of row r at the
+    code's column.  The edge must fit."""
+    spec = params.lattice
     p = params.sigma
-    return base + (code - 1) * p.modulus + poly_eval(coeffs, code, p)
+    coeffs = _row_coeffs(r, spec.t, p.modulus)
+    group = parity_group(coeffs)
+    if not spec.directed:
+        group |= _distance_group(root, spec)
+    return group * params.group_size + (code - 1) * p.modulus + poly_eval(coeffs, code, p)
 
 
 def color2_assign(root, r: int, code: int, params: SchemeParams) -> int:
@@ -292,21 +299,41 @@ def coloring_lines(params: SchemeParams):
     line per edge in (root rank, code) order.
 
     lattice_edges yields only edges that fit, so none is validated
-    again; the parts of a color that a root's edges share (its coords
-    and, for the orthogonal-array kinds, oa_row) are computed once per
-    root."""
+    again.  The orthogonal-array kinds step an odometer with the rank:
+    between carries only the last coefficient k = r mod sigma moves, and
+    each step adds 1 mod sigma to every array entry and flips the last
+    parity bit, so a root's entries are those of its row at k = 0, plus
+    k.  Only a carry, once per sigma roots, splits the rank and
+    evaluates the row again.  Distance digits repeat with period 3 along
+    the last axis, so three roots per run of that axis compute them."""
     yield format_header(params)
+    spec = params.lattice
     p = params.sigma
-    assign = _ASSIGNERS[params.kind]
-    for root, r, codes in lattice_edges(params.lattice):
-        coords = ",".join(map(str, root))
-        if p:
-            coeffs, base = oa_row(root, r, params)
-            for c in codes:
-                yield f"{coords} {c} {base + (c - 1) * p.modulus + poly_eval(coeffs, c, p)}"
-        else:
+    if not p:
+        assign = _ASSIGNERS[params.kind]
+        for root, r, codes in lattice_edges(spec):
+            coords = ",".join(map(str, root))
             for c in codes:
                 yield f"{coords} {c} {assign(root, r, c, params)}"
+        return
+    m, t, size = p.modulus, spec.t, params.group_size
+    columns = range(scheme_columns(spec) + 1)  # indexed by code; 0 unused
+    blocks = [(c - 1) * m for c in columns]
+    runs = range(min(3, spec.dims[-1]))
+    distance = [0, 0, 0]
+    for root, r, codes in lattice_edges(spec):
+        k = r % m
+        if not k:
+            coeffs = _row_coeffs(r, t, m)
+            entries = [poly_eval(coeffs, c, p) for c in columns]
+            parity = parity_group(coeffs)
+        x = root[-1]
+        if not x and not spec.directed:
+            distance = [_distance_group(root[:-1] + (y,), spec) for y in runs]
+        base = (parity | k & 1 | distance[x % 3]) * size
+        coords = ",".join(map(str, root))
+        for c in codes:
+            yield f"{coords} {c} {base + blocks[c] + (entries[c] + k) % m}"
 
 
 def parse_header(line: str) -> SchemeParams:

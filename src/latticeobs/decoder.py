@@ -24,7 +24,7 @@ back "ambiguous".  Reports never guess.
 from dataclasses import dataclass
 
 from .colorer import SchemeParams, color_unpack, color_walk
-from .gfpoly import FieldPrime, index_to_coeffs, poly_eval
+from .gfpoly import FieldPrime, base_digits, poly_eval
 from .lattice import Walk, rank_difference, trace_steps, unrank, walk_nodes
 from .oarray import oa_row_from_projection
 
@@ -91,11 +91,6 @@ def recover_coef_diffs(
     if ell:
         raise ObservationError("rank gap inconsistent with parities")
     return tuple(deltas)
-
-
-def array_entry_diff(deltas, j: int, p: FieldPrime) -> int:
-    """Column-j array-entry difference implied by coefficient diffs."""
-    return poly_eval(deltas, j, p)
 
 
 def decode(obs: WalkObservation) -> DecodeReport:
@@ -171,14 +166,15 @@ def _locate_oa(params, parts, signs, offsets, root_idx) -> tuple:
         k = pos if signs[pos] > 0 else pos + 1
         gap = rank_difference(offsets, k, root_idx, spec)
         deltas = recover_coef_diffs(gap, parts[pos].parities, anchor.parities, spec.t, p)
-        shift = array_entry_diff(deltas, column, p)
+        # entries are linear in the coefficients
+        shift = poly_eval(deltas, column, p)
         points.append((column, (parts[pos].value - shift) % p.modulus))
     row = oa_row_from_projection(
         [c for c, _ in points], [v for _, v in points], params.oa
     )
     if row >= spec.size:
         raise ObservationError("solved rank is outside the lattice")
-    coeffs = index_to_coeffs(row, spec.t, p)
+    coeffs = base_digits(row, spec.t, p)
     if tuple(a & 1 for a in coeffs) != tuple(anchor.parities):
         raise ObservationError("parity mismatch at the solved root")
     root = unrank(row, spec)

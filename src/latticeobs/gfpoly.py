@@ -170,7 +170,8 @@ def coeffs_to_index(coeffs: Sequence[int], p: FieldPrime) -> int:
 
 
 def base_digits(value: int, t: int, p: FieldPrime) -> tuple[int, ...]:
-    """Big-endian base-modulus digits of value, zero-padded to t digits."""
+    """Big-endian base-modulus digits of value, zero-padded to t digits:
+    the coefficient vector of index value, the inverse of coeffs_to_index."""
     m = p.modulus
     if not 0 <= value < m**t:
         raise ValueError(f"{value} does not fit in {t} base-{m} digits")
@@ -178,11 +179,6 @@ def base_digits(value: int, t: int, p: FieldPrime) -> tuple[int, ...]:
     for k in range(t - 1, -1, -1):
         value, digits[k] = divmod(value, m)
     return tuple(digits)
-
-
-def index_to_coeffs(index: int, t: int, p: FieldPrime) -> tuple[int, ...]:
-    """Inverse of coeffs_to_index."""
-    return base_digits(index, t, p)
 
 
 def interpolate_coeffs(

@@ -11,13 +11,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .gfpoly import (
-    FieldPrime,
-    coeffs_to_index,
-    index_to_coeffs,
-    interpolate_coeffs,
-    poly_eval,
-)
+from .gfpoly import FieldPrime, base_digits, coeffs_to_index, interpolate_coeffs, poly_eval
 
 
 @dataclass(frozen=True)
@@ -45,7 +39,7 @@ def oa_entry(i: int, j: int, spec: OASpec) -> int:
         raise ValueError(f"row {i} outside [0, {spec.rows})")
     if not 1 <= j <= spec.cols:
         raise ValueError(f"column {j} outside [1, {spec.cols}]")
-    return poly_eval(index_to_coeffs(i, spec.t, spec.p), j, spec.p)
+    return poly_eval(base_digits(i, spec.t, spec.p), j, spec.p)
 
 
 def oa_validate(spec: OASpec, budget: int = 10_000_000):
@@ -61,7 +55,7 @@ def oa_validate(spec: OASpec, budget: int = 10_000_000):
         raise ValueError(f"validation needs {cost} projections, budget is {budget}")
     seen: dict[tuple, dict] = {combo: {} for combo in combos}
     for i in range(spec.rows):
-        coeffs = index_to_coeffs(i, spec.t, spec.p)
+        coeffs = base_digits(i, spec.t, spec.p)
         vals = {j: poly_eval(coeffs, j, spec.p) for j in range(1, spec.cols + 1)}
         for combo in combos:
             proj = tuple(vals[j] for j in combo)

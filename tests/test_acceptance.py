@@ -13,8 +13,8 @@ from functools import lru_cache
 
 from latticeobs.colorer import color_walk, make_scheme, palette_size
 from latticeobs.decoder import AMBIGUOUS, WalkObservation, decode, recover_signs
-from latticeobs.decoder import array_entry_diff, recover_coef_diffs
-from latticeobs.gfpoly import FieldPrime, ceil_nth_root, index_to_coeffs
+from latticeobs.decoder import recover_coef_diffs
+from latticeobs.gfpoly import FieldPrime, base_digits, ceil_nth_root, poly_eval
 from latticeobs.lattice import (
     LatticeSpec,
     Walk,
@@ -176,7 +176,7 @@ def test_criterion_4_undirected_roundtrip_and_oscillations():
 
 
 def test_criterion_5_digit_recovery_oracle():
-    """recover_coef_diffs and array_entry_diff against direct
+    """recover_coef_diffs, and poly_eval of its differences, against direct
     subtraction: exhaustive for t=2 and t=3 over sigma=5, plus one
     million seeded t=3 samples."""
     t0 = time.perf_counter()
@@ -193,7 +193,7 @@ def test_criterion_5_digit_recovery_oracle():
         expect = (
             poly_vals[t][hi][j - 1] - poly_vals[t][lo][j - 1]
         ) % 5
-        assert array_entry_diff(got, j, p) == expect, (hi, lo, j)
+        assert poly_eval(got, j, p) == expect, (hi, lo, j)
         checked += 1
 
     poly_vals = {}
@@ -201,7 +201,7 @@ def test_criterion_5_digit_recovery_oracle():
     parities = {}
     for t, cols in ((2, 4), (3, 4)):
         spec = OASpec(p, t, cols)
-        tables[t] = [index_to_coeffs(i, t, p) for i in range(spec.rows)]
+        tables[t] = [base_digits(i, t, p) for i in range(spec.rows)]
         parities[t] = [tuple(a & 1 for a in c) for c in tables[t]]
         poly_vals[t] = [
             [oa_entry(i, j, spec) for j in range(1, cols + 1)]

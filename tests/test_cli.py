@@ -5,7 +5,10 @@ import time
 
 import pytest
 
+from latticeobs import cli
 from latticeobs.cli import main
+from latticeobs.colorer import coloring_lines, make_scheme
+from latticeobs.lattice import LatticeSpec
 
 
 def run(capsys, *argv):
@@ -27,6 +30,60 @@ def test_color_writes_file_and_summary(tmp_path, capsys):
     assert lines[0] == "#dims=4x4 directed=1 t=4 sigma=5 scheme=colord"
     assert lines[1] == "0,0 1 0"
     # no stray temp files from the atomic write
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_color_file_is_every_line_newline_terminated(tmp_path, capsys):
+    """The file is coloring_lines, each line ended by a newline, also
+    across the writer's 1024-line chunks (5,401 lines here)."""
+    out = tmp_path / "c.txt"
+    assert main(["color", "--dims", "10x10x10", "--directed", "--t", "3",
+                 "--scheme", "colord", "--out", str(out)]) == 0
+    params = make_scheme(LatticeSpec((10, 10, 10), True, 3), "colord")
+    want = "".join(line + "\n" for line in coloring_lines(params))
+    assert want.count("\n") == 5401
+    assert out.read_bytes() == want.encode("utf-8")
+
+
+@pytest.mark.parametrize("error,exit_code", [(ValueError, 2), (OSError, 1)])
+def test_failed_color_leaves_target_untouched(tmp_path, capsys, monkeypatch, error, exit_code):
+    """A line source that raises partway through leaves an existing
+    target byte-for-byte as it was, and no temp file behind."""
+    out = tmp_path / "c.txt"
+    assert main(["color", "--dims", "4x4", "--directed", "--t", "2",
+                 "--scheme", "colord", "--out", str(out)]) == 0
+    before = out.read_bytes()
+    real_lines = cli.coloring_lines
+
+    def broken_lines(params):
+        for k, line in enumerate(real_lines(params)):
+            if k == 20:
+                raise error("line source failed")
+            yield line
+
+    monkeypatch.setattr(cli, "coloring_lines", broken_lines)
+    code, _, err = run(
+        capsys, "color", "--dims", "5x5", "--directed", "--t", "2",
+        "--scheme", "colord", "--out", str(out),
+    )
+    assert code == exit_code
+    assert "line source failed" in err
+    assert out.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_interrupted_write_removes_temp_file(tmp_path):
+    "An interrupt mid-stream also leaves the target and the directory as they were."
+    out = tmp_path / "c.txt"
+    out.write_bytes(b"old\n")
+
+    def lines():
+        yield "new"
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        cli._write_atomic(str(out), lines())
+    assert out.read_bytes() == b"old\n"
     assert list(tmp_path.iterdir()) == [out]
 
 

@@ -1,5 +1,6 @@
 """Coloring schemes: assignment, packing, palette accounting, export."""
 
+import hashlib
 import itertools
 import random
 
@@ -199,10 +200,10 @@ def test_unpack_inverts_assign(params):
         part = color_unpack(c, params)
         assert part.code == edge.code
         if params.kind != "color2":
-            from latticeobs.gfpoly import index_to_coeffs
+            from latticeobs.gfpoly import base_digits
             from latticeobs.lattice import rank
 
-            coeffs = index_to_coeffs(rank(edge.root, s), s.t, params.sigma)
+            coeffs = base_digits(rank(edge.root, s), s.t, params.sigma)
             assert part.parities == tuple(a & 1 for a in coeffs)
         if params.kind == "undir":
             assert part.digits == distance_digits(edge.root, s)
@@ -376,6 +377,94 @@ def test_export_lines_match_assign_color():
             assert int(color) == assign_color(edge, params), (lines[0], line)
             keys.append((rank(edge.root, s), edge.code))
         assert keys == sorted(set(keys)), lines[0]
+
+
+# dims, directed, t, kind, sigma (None: the default): export configs
+# whose rank counter carries.  A field prime far above the default makes
+# carries rare or absent; 4x4x4, 5x5x5 and 12x12 cross sigma^(t-1), so
+# carries run t - 1 digits deep; the undirected shapes store three to
+# five ternary distance digits.
+ODOMETER_CONFIGS = (
+    ((6, 6, 6), True, 2, "colord", 101),
+    ((4, 5), True, 2, "colord", 1_000_003),
+    ((4, 4, 4), True, 3, "colord", 7),
+    ((5, 5, 5), True, 3, "colord", 7),
+    ((12, 12), True, 4, "colord", 5),
+    ((5, 5, 5), False, 3, "undir", 5),
+    ((6, 6, 6), False, 2, "undir", 97),
+    ((4, 4, 4, 4), False, 2, "undir", None),
+    ((3, 3, 3, 3), False, 1, "undir", 101),
+    ((5, 4, 3), False, 1, "undir", None),
+)
+
+# deepest carry each export makes: the most digits one step rolls over
+ODOMETER_CARRY_DEPTHS = {
+    "colord 6x6x6 t=2 sigma=101": 1,
+    "colord 4x5 t=2 sigma=1000003": 0,
+    "colord 4x4x4 t=3 sigma=7": 2,
+    "colord 5x5x5 t=3 sigma=7": 2,
+    "colord 12x12 t=4 sigma=5": 3,
+    "undir 5x5x5 t=3 sigma=5": 2,
+    "undir 6x6x6 t=2 sigma=97": 1,
+    "undir 4x4x4x4 t=2 sigma=default": 1,
+    "undir 3x3x3x3 t=1 sigma=101": 0,
+    "undir 5x4x3 t=1 sigma=default": 0,
+}
+
+# sha256 of coloring_lines, one "\n"-terminated line at a time
+ODOMETER_DIGESTS = {
+    "colord 6x6x6 t=2 sigma=101": "7227c30e006f82afafb503e6e02c6f934bf20bb80b27b46016393dda522fc43e",
+    "colord 4x5 t=2 sigma=1000003": "c8c6f96c8730a93322ad37068b1e728a9b32a9741ace7b391743666b4074e266",
+    "colord 4x4x4 t=3 sigma=7": "441a5ffa7d348451132f59e9c4cdf1b55efbde97a552a42205b3f1735c50fa40",
+    "colord 5x5x5 t=3 sigma=7": "c46bed773c24e824da20da0d317f7664ce8fe146bf255bbc938170d8e84cca32",
+    "colord 12x12 t=4 sigma=5": "7e5203d7eb5b85291ac92819b4271b840d9f46db597383f4b7bf72e0875bcf5b",
+    "undir 5x5x5 t=3 sigma=5": "d7e7e3543c53c7333cdedb428fc68dd4e03fc69dd7350b1d616f05adca67db31",
+    "undir 6x6x6 t=2 sigma=97": "ade6b37a8a382f4a473cb41648e686700e31ebe104deb8c6c57fbd999c03a15f",
+    "undir 4x4x4x4 t=2 sigma=default": "2bf03a8dfc4492e74fb12f15b69c8322c16f210f7b616a62949e23cdd3df7ba5",
+    "undir 3x3x3x3 t=1 sigma=101": "742abd86f645936b0ee405b2d420977d209e22a0a4cd87920044960903fd4af7",
+    "undir 5x4x3 t=1 sigma=default": "e17014f09eeb78a8a508bee29c8ca065e44bdd2fc5d75dd89cc6c70cf8fe81d6",
+}
+
+
+def _odometer_label(dims, t, kind, sigma) -> str:
+    return f"{kind} {'x'.join(map(str, dims))} t={t} sigma={sigma or 'default'}"
+
+
+def _odometer_schemes():
+    for dims, directed, t, kind, sigma in ODOMETER_CONFIGS:
+        params = make_scheme(spec(dims, directed, t), kind, sigma=sigma)
+        yield _odometer_label(dims, t, kind, sigma), params
+
+
+def test_odometer_configs_carry():
+    "Each configuration reaches the carry depth it is listed for."
+    depths = {}
+    for label, params in _odometer_schemes():
+        m, last = params.sigma.modulus, params.lattice.size - 1
+        depths[label] = max(k for k in range(params.lattice.t) if m**k <= last)
+    assert depths == ODOMETER_CARRY_DEPTHS
+
+
+def test_odometer_export_matches_assign_color():
+    "Line by line, the export equals the validating per-edge assignment."
+    for label, params in _odometer_schemes():
+        edges = _edges(params.lattice)
+        lines = list(coloring_lines(params))
+        assert len(lines) == 1 + len(edges), label
+        for line, edge in zip(lines[1:], edges):
+            coords, code, color = line.split(" ")
+            assert (tuple(int(x) for x in coords.split(",")), int(code)) == (edge.root, edge.code)
+            assert int(color) == assign_color(edge, params), (label, line)
+
+
+def test_odometer_export_golden():
+    digests = {}
+    for label, params in _odometer_schemes():
+        h = hashlib.sha256()
+        for line in coloring_lines(params):
+            h.update(line.encode("utf-8") + b"\n")
+        digests[label] = h.hexdigest()
+    assert digests == ODOMETER_DIGESTS
 
 
 def test_header_roundtrip():

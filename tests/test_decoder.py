@@ -12,12 +12,11 @@ from latticeobs.decoder import (
     AmbiguousObservation,
     ObservationError,
     WalkObservation,
-    array_entry_diff,
     decode,
     recover_coef_diffs,
     recover_signs,
 )
-from latticeobs.gfpoly import FieldPrime, index_to_coeffs
+from latticeobs.gfpoly import FieldPrime, base_digits, poly_eval
 from latticeobs.lattice import Edge, LatticeSpec, Walk, walk_dimension, walk_nodes
 from latticeobs.oarray import OASpec, oa_entry
 from latticeobs.verifier import fault_inject
@@ -93,7 +92,7 @@ def test_recover_coef_diffs_exhaustive(t, modulus):
     "Matches direct coefficient subtraction for every ordered pair."
     p = FieldPrime(modulus)
     rows = modulus**t
-    table = [index_to_coeffs(i, t, p) for i in range(rows)]
+    table = [base_digits(i, t, p) for i in range(rows)]
     parities = [tuple(a & 1 for a in c) for c in table]
     for hi in range(rows):
         for lo in range(hi + 1):
@@ -103,21 +102,21 @@ def test_recover_coef_diffs_exhaustive(t, modulus):
 
 
 def test_array_entry_diff_frozen():
-    assert array_entry_diff((1, -4), 2, P5) == 3
-    assert array_entry_diff((0, 0), 3, P5) == 0
+    assert poly_eval((1, -4), 2, P5) == 3
+    assert poly_eval((0, 0), 3, P5) == 0
     for j in (1, 2, 3, 4):
-        assert array_entry_diff((0, 1), j, P5) == 1
+        assert poly_eval((0, 1), j, P5) == 1
 
 
 def test_array_entry_diff_matches_entry_subtraction():
     oa = OASpec(P5, 2, 4)
-    table = [index_to_coeffs(i, 2, P5) for i in range(25)]
+    table = [base_digits(i, 2, P5) for i in range(25)]
     for hi in range(25):
         for lo in range(hi + 1):
             deltas = tuple(a - b for a, b in zip(table[hi], table[lo]))
             for j in range(1, 5):
                 want = (oa_entry(hi, j, oa) - oa_entry(lo, j, oa)) % 5
-                assert array_entry_diff(deltas, j, P5) == want
+                assert poly_eval(deltas, j, P5) == want
 
 
 def test_decode_dispatch_rejects_aux_scheme():

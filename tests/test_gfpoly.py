@@ -14,7 +14,6 @@ from latticeobs.gfpoly import (
     base_digits,
     ceil_nth_root,
     coeffs_to_index,
-    index_to_coeffs,
     interpolate_coeffs,
     is_prime,
     next_prime_above,
@@ -232,13 +231,13 @@ def test_coeffs_to_index_frozen(coeffs, expected):
     "index,t,expected", [(0, 2, (0, 0)), (5, 2, (1, 0)), (24, 2, (4, 4)), (7, 2, (1, 2))]
 )
 def test_index_to_coeffs_frozen(index, t, expected):
-    assert index_to_coeffs(index, t, P5) == expected
+    assert base_digits(index, t, P5) == expected
 
 
 @pytest.mark.parametrize("t", [1, 2, 3])
 def test_index_coeffs_roundtrip_exhaustive(t):
     for i in range(5**t):
-        coeffs = index_to_coeffs(i, t, P5)
+        coeffs = base_digits(i, t, P5)
         assert len(coeffs) == t
         assert all(0 <= a < 5 for a in coeffs)
         assert coeffs_to_index(coeffs, P5) == i

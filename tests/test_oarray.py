@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 import latticeobs.oarray as oarray
-from latticeobs.gfpoly import FieldPrime, index_to_coeffs, poly_eval
+from latticeobs.gfpoly import FieldPrime, base_digits, poly_eval
 from latticeobs.oarray import OASpec, oa_entry, oa_row_from_projection, oa_validate
 
 S524 = OASpec(FieldPrime(5), 2, 4)
@@ -31,7 +31,7 @@ def test_oa_entry_frozen():
 
 def test_oa_entry_matches_polynomial():
     for i in range(S524.rows):
-        coeffs = index_to_coeffs(i, 2, S524.p)
+        coeffs = base_digits(i, 2, S524.p)
         for j in range(1, 5):
             assert oa_entry(i, j, S524) == poly_eval(coeffs, j, S524.p)
 
