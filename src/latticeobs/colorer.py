@@ -280,11 +280,21 @@ def color_walk(w: Walk, params: SchemeParams) -> tuple[int, ...]:
 
 def lattice_edges(spec: LatticeSpec):
     """Every node u in rank order, as (u, rank, codes): the codes of the
-    edges u roots, ascending.  Each of those edges fits the lattice."""
+    edges u roots, ascending.  Each of those edges fits the lattice.
+
+    Along a run of the last axis only the run's top node loses codes
+    (those of the last axis), so each run builds two code lists and its
+    roots share them; callers must not mutate them."""
     dims = spec.dims
+    last = spec.d - 1
+    top = dims[last] - 1
     columns = [(c, (c - 1) % spec.d) for c in range(1, scheme_columns(spec) + 1)]
     for r, u in enumerate(product(*map(range, dims))):
-        yield u, r, [c for c, axis in columns if u[axis] + 1 < dims[axis]]
+        x = u[last]
+        if not x:
+            inner = [c for c, axis in columns if axis == last or u[axis] + 1 < dims[axis]]
+            face = [c for c in inner if (c - 1) % spec.d != last]
+        yield u, r, inner if x < top else face
 
 
 def format_header(params: SchemeParams) -> str:

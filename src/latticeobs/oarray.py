@@ -8,6 +8,7 @@ demand.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -46,23 +47,39 @@ def oa_validate(spec: OASpec, budget: int = 10_000_000):
     """Exhaustively check that every t columns separate all rows.
 
     Returns (True, None), or (False, (columns, row_a, row_b)) for the
-    first collision in scan order.  Refuses to run past `budget`
-    projections.
+    first collision in scan order: the smallest (row_b, subset index),
+    with row_a < row_b the earlier row of the pair.  Refuses to run past
+    `budget` projections before enumerating anything.
+
+    Works by columns: each entry is evaluated once into a table per
+    column, and each column subset is checked with one set of its
+    projections.  Memory grows with cols * rows plus that one set.  A
+    subset whose set comes up short is scanned again row by row to
+    name the collision; later subsets then only need the rows before it.
     """
-    combos = list(itertools.combinations(range(1, spec.cols + 1), spec.t))
-    cost = spec.rows * len(combos)
+    rows = spec.rows
+    cost = rows * math.comb(spec.cols, spec.t)
     if cost > budget:
         raise ValueError(f"validation needs {cost} projections, budget is {budget}")
-    seen: dict[tuple, dict] = {combo: {} for combo in combos}
-    for i in range(spec.rows):
-        coeffs = base_digits(i, spec.t, spec.p)
-        vals = {j: poly_eval(coeffs, j, spec.p) for j in range(1, spec.cols + 1)}
-        for combo in combos:
-            proj = tuple(vals[j] for j in combo)
-            other = seen[combo].setdefault(proj, i)
+    points = range(1, spec.cols + 1)
+    digits = range(spec.p.modulus)
+    # product gives the rows' coefficient tuples in row order, as base_digits
+    column = {
+        j: [poly_eval(coeffs, j, spec.p) for coeffs in itertools.product(digits, repeat=spec.t)]
+        for j in points
+    }
+    violation, limit = None, rows
+    for combo in itertools.combinations(points, spec.t):
+        projections = zip(*(column[j] for j in combo))
+        if len(set(itertools.islice(projections, limit))) == limit:
+            continue
+        seen: dict[tuple, int] = {}
+        for i, proj in enumerate(zip(*(column[j] for j in combo))):
+            other = seen.setdefault(proj, i)
             if other != i:
-                return False, (combo, other, i)
-    return True, None
+                break
+        violation, limit = (combo, other, i), i
+    return violation is None, violation
 
 
 def oa_row_from_projection(columns, values, spec: OASpec) -> int:

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from latticeobs import cli
+from latticeobs import cli, oarray
 from latticeobs.cli import main
 from latticeobs.colorer import coloring_lines, make_scheme
 from latticeobs.lattice import LatticeSpec
@@ -270,6 +270,28 @@ def test_verify_oa_rejects_wide_array(capsys):
         capsys, "verify", "oa", "--sigma", "5", "--t", "2", "--cols", "5"
     )
     assert code == 2
+
+
+def test_verify_oa_reports_collision(capsys, monkeypatch):
+    "A constant array collides on rows 0 and 1 of the only subset."
+    monkeypatch.setattr(oarray, "poly_eval", lambda c, x, p: 0)
+    code, stdout, _ = run(
+        capsys, "verify", "oa", "--sigma", "3", "--t", "2", "--cols", "2"
+    )
+    assert code == 1
+    assert stdout.strip() == "invalid columns=1,2 rows=0,1"
+
+
+def test_verify_oa_refuses_over_budget_at_once(capsys):
+    "C(50, 40) is about 1.0e10 column subsets; none may be built."
+    start = time.perf_counter()
+    code, _, err = run(
+        capsys, "verify", "oa", "--sigma", "1000000007", "--t", "40", "--cols", "50"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "validation needs " in err
+    assert "budget is 10000000" in err
 
 
 def test_verify_bound_matches_documented_example(capsys):
