@@ -27,7 +27,7 @@ from .decoder import (
 )
 from .gfpoly import FieldPrime, next_prime_above
 from .lattice import Edge, LatticeSpec, Walk, rank, unrank, walk_dimension
-from .oarray import OASpec, oa_entry, oa_row_from_projection, oa_validate
+from .oarray import OASpec, oa_row_from_projection, oa_validate
 from .verifier import (
     ambiguity_scan,
     fault_inject,
@@ -60,7 +60,6 @@ __all__ = [
     "lower_bound_colors",
     "make_scheme",
     "next_prime_above",
-    "oa_entry",
     "oa_row_from_projection",
     "oa_validate",
     "palette_size",

@@ -20,6 +20,7 @@ import tempfile
 from itertools import islice
 
 from .colorer import (
+    KINDS,
     coloring_lines,
     make_scheme,
     palette_size,
@@ -47,15 +48,14 @@ def _parse_dims(args) -> tuple[int, ...]:
     raise ValueError("lattice shape required: --dims n1xn2x... or --n N --d D")
 
 
-def _make_params(args, default_kind=None):
+def _make_params(args):
     dims = _parse_dims(args)
-    kind = args.scheme or default_kind
+    kind = args.scheme
     directed = args.directed or kind in DIRECTED_KINDS
     if kind is None:
         kind = "colord" if directed else "undir"
     spec = LatticeSpec(dims, directed, args.t)
-    origin = getattr(args, "origin_index", 0)
-    return make_scheme(spec, kind, origin_index=origin, sigma=args.sigma)
+    return make_scheme(spec, kind, origin_index=args.origin_index, sigma=args.sigma)
 
 
 def _default_length(spec: LatticeSpec) -> int:
@@ -165,13 +165,13 @@ def cmd_verify_bound(args) -> int:
     return 0 if lower <= palette else 1
 
 
-def _add_lattice_args(p: argparse.ArgumentParser, schemes=("colord", "color2", "undir", "mod3-aux")):
+def _add_lattice_args(p: argparse.ArgumentParser):
     p.add_argument("--dims", help="axis lengths, like 4x6x5")
     p.add_argument("--n", type=int, help="axis length of a cubic lattice (with --d)")
     p.add_argument("--d", type=int, help="dimension count for --n")
     p.add_argument("--directed", action="store_true", help="directed edges")
     p.add_argument("--t", type=int, required=True, help="target walk dimension")
-    p.add_argument("--scheme", choices=schemes, help="coloring scheme")
+    p.add_argument("--scheme", choices=KINDS, help="coloring scheme")
     p.add_argument("--sigma", type=int, help="field prime override")
     p.add_argument("--origin-index", dest="origin_index", type=int, default=0,
                    help="reference corner for mod3-aux")

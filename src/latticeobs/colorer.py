@@ -48,18 +48,13 @@ class SchemeParams:
     def oa(self) -> OASpec | None:
         if self.sigma is None:
             return None
-        return OASpec(self.sigma, self.lattice.t, scheme_columns(self.lattice))
-
-
-def scheme_columns(spec: LatticeSpec) -> int:
-    """Array columns the scheme needs: one per orientation or axis."""
-    return 2 * spec.d if spec.directed else spec.d
+        return OASpec(self.sigma, self.lattice.t, self.lattice.codes)
 
 
 def default_sigma(spec: LatticeSpec) -> FieldPrime:
     """Smallest workable field prime: modulus^t must cover the node count
-    and every column needs its own evaluation point."""
-    return next_prime_above(max(ceil_nth_root(spec.size, spec.t), scheme_columns(spec)))
+    and every column (one per edge code) needs its own evaluation point."""
+    return next_prime_above(max(ceil_nth_root(spec.size, spec.t), spec.codes))
 
 
 def make_scheme(
@@ -67,6 +62,8 @@ def make_scheme(
 ) -> SchemeParams:
     if kind not in KINDS:
         raise ValueError(f"unknown scheme kind {kind!r}")
+    if origin_index and kind != "mod3-aux":
+        raise ValueError("origin index applies only to mod3-aux")
     d, t = spec.d, spec.t
     if kind == "color2":
         if not spec.directed or d != 2 or spec.dims[0] != spec.dims[1] or t != 4:
@@ -86,13 +83,11 @@ def make_scheme(
         raise ValueError("colord needs a directed lattice")
     if kind == "undir" and spec.directed:
         raise ValueError("undir needs an undirected lattice")
-    cols = scheme_columns(spec)
     p = default_sigma(spec) if sigma is None else FieldPrime(sigma)
-    if p.modulus <= cols or p.modulus**t < spec.size:
+    if p.modulus <= spec.codes or p.modulus**t < spec.size:
         raise ValueError(f"sigma {p.modulus} too small for this lattice")
-    if kind == "colord":
-        return SchemeParams(spec, kind, p, 2**t, 2 * d * p.modulus)
-    return SchemeParams(spec, kind, p, 2**t * 3 ** (d - t + 2), d * p.modulus)
+    groups = 2**t if kind == "colord" else 2**t * 3 ** (d - t + 2)
+    return SchemeParams(spec, kind, p, groups, spec.codes * p.modulus)
 
 
 def palette_size(params: SchemeParams) -> int:
@@ -252,7 +247,7 @@ def color_walk(w: Walk, params: SchemeParams) -> tuple[int, ...]:
     so no edge is built, validated or ranked on its own."""
     spec = params.lattice
     assign = _ASSIGNERS[params.kind]
-    table, dims, weights, directed = spec.step_table, spec.dims, spec.weights, spec.directed
+    table, dims = spec.step_table, spec.dims
     if not in_bounds(w.start, spec):
         raise ValueError(f"start {w.start} outside lattice {spec.dims}")
     node = list(w.start)
@@ -262,18 +257,17 @@ def color_walk(w: Walk, params: SchemeParams) -> tuple[int, ...]:
         move = table.get(s)
         if move is None:
             raise ValueError(f"bad step code {s} for this lattice")
-        axis, sign = move
+        axis, sign, dr, code = move
         x = node[axis] + sign
         if not 0 <= x < dims[axis]:
             raise ValueError(f"step {s} leaves the lattice at {tuple(node)}")
-        code = s if directed else axis + 1
         if sign > 0:
             colors.append(assign(node, r, code, params))
             node[axis] = x
-            r += weights[axis]
+            r += dr
         else:
             node[axis] = x
-            r -= weights[axis]
+            r += dr
             colors.append(assign(node, r, code, params))
     return tuple(colors)
 
@@ -288,7 +282,7 @@ def lattice_edges(spec: LatticeSpec):
     dims = spec.dims
     last = spec.d - 1
     top = dims[last] - 1
-    columns = [(c, (c - 1) % spec.d) for c in range(1, scheme_columns(spec) + 1)]
+    columns = [(c, (c - 1) % spec.d) for c in range(1, spec.codes + 1)]
     for r, u in enumerate(product(*map(range, dims))):
         x = u[last]
         if not x:
@@ -327,7 +321,7 @@ def coloring_lines(params: SchemeParams):
                 yield f"{coords} {c} {assign(root, r, c, params)}"
         return
     m, t, size = p.modulus, spec.t, params.group_size
-    columns = range(scheme_columns(spec) + 1)  # indexed by code; 0 unused
+    columns = range(spec.codes + 1)  # indexed by code; 0 unused
     blocks = [(c - 1) * m for c in columns]
     runs = range(min(3, spec.dims[-1]))
     distance = [0, 0, 0]

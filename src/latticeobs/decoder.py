@@ -111,7 +111,7 @@ def decode(obs: WalkObservation) -> DecodeReport:
             raise ObservationError(str(exc)) from None
         codes = [u.code for u in parts]
         if spec.directed:
-            signs = [1 if code <= spec.d else -1 for code in codes]
+            signs = [spec.step_table[code][1] for code in codes]
             steps = codes
         else:
             signs = recover_signs(obs, parts)

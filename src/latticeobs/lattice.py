@@ -32,13 +32,17 @@ class LatticeSpec:
         object.__setattr__(self, "dims", tuple(self.dims))
         if not self.dims or any(n < 2 for n in self.dims):
             raise ValueError("every axis needs length >= 2")
-        limit = 2 * self.d if self.directed else self.d
-        if not 1 <= self.t <= limit:
-            raise ValueError(f"t must be in [1, {limit}] for this lattice")
+        if not 1 <= self.t <= self.codes:
+            raise ValueError(f"t must be in [1, {self.codes}] for this lattice")
 
     @property
     def d(self) -> int:
         return len(self.dims)
+
+    @property
+    def codes(self) -> int:
+        """Edge codes: 2d orientations when directed, d axes when not."""
+        return 2 * self.d if self.directed else self.d
 
     @cached_property
     def size(self) -> int:
@@ -53,12 +57,19 @@ class LatticeSpec:
         return tuple(w)
 
     @cached_property
-    def step_table(self) -> dict[int, tuple[int, int]]:
-        """Every valid step code -> (zero-based axis, +1 or -1)."""
+    def step_table(self) -> dict[int, tuple[int, int, int, int]]:
+        """Every valid step code -> (zero-based axis, +1 or -1, rank
+        change, edge code).
+
+        A step's edge is rooted at its lexicographically smaller end: the
+        node a +1 step leaves, the node a -1 step reaches.  Its code is
+        the step itself on directed lattices and the axis (1-based) on
+        undirected ones."""
         table = {}
-        for j in range(self.d):
-            table[j + 1] = (j, 1)
-            table[self.d + j + 1 if self.directed else -(j + 1)] = (j, -1)
+        for j, w in enumerate(self.weights):
+            down = self.d + j + 1 if self.directed else -(j + 1)
+            table[j + 1] = (j, 1, w, j + 1)
+            table[down] = (j, -1, -w, down if self.directed else j + 1)
         return table
 
 
@@ -96,26 +107,20 @@ def unrank(r: int, spec: LatticeSpec) -> Coord:
     return tuple(coords)
 
 
-def step_axis_sign(step: int, spec: LatticeSpec) -> tuple[int, int]:
-    """Split a step code into (zero-based axis, +1 or -1)."""
+def step_entry(step: int, spec: LatticeSpec) -> tuple[int, int, int, int]:
+    """A step code's step-table entry: (zero-based axis, +1 or -1, rank
+    change, edge code)."""
     try:
         return spec.step_table[step]
     except KeyError:
         raise ValueError(f"bad step code {step} for this lattice") from None
 
 
-def edge_axis(edge: Edge, spec: LatticeSpec) -> int:
-    """Zero-based axis an edge is parallel to."""
-    c = edge.code
-    top = 2 * spec.d if spec.directed else spec.d
-    if not 1 <= c <= top:
-        raise ValueError(f"bad edge code {c} for this lattice")
-    return (c - 1) % spec.d
-
-
 def edge_endpoints(edge: Edge, spec: LatticeSpec) -> tuple[Coord, Coord]:
     """(root, far endpoint); validates the edge fits the lattice."""
-    axis = edge_axis(edge, spec)
+    if not 1 <= edge.code <= spec.codes:
+        raise ValueError(f"bad edge code {edge.code} for this lattice")
+    axis = (edge.code - 1) % spec.d
     root = tuple(edge.root)
     far = root[:axis] + (root[axis] + 1,) + root[axis + 1 :]
     if not in_bounds(root, spec) or not in_bounds(far, spec):
@@ -126,7 +131,7 @@ def edge_endpoints(edge: Edge, spec: LatticeSpec) -> tuple[Coord, Coord]:
 def _move(u: Coord, step: int, spec: LatticeSpec) -> Coord:
     """Node one step from u, which is already known to be inside; only
     the moved coordinate is checked."""
-    axis, sign = step_axis_sign(step, spec)
+    axis, sign, _, _ = step_entry(step, spec)
     x = u[axis] + sign
     if not 0 <= x < spec.dims[axis]:
         raise ValueError(f"step {step} leaves the lattice at {u}")
@@ -136,7 +141,7 @@ def _move(u: Coord, step: int, spec: LatticeSpec) -> Coord:
 def apply_step(u: Sequence[int], step: int, spec: LatticeSpec) -> Coord:
     """Node reached from u by one step; errors if either end is outside."""
     if not in_bounds(u, spec):
-        step_axis_sign(step, spec)  # a bad code is reported first
+        step_entry(step, spec)  # a bad code is reported first
         raise ValueError(f"step {step} leaves the lattice at {tuple(u)}")
     return _move(tuple(u), step, spec)
 
@@ -145,14 +150,12 @@ def step_edge(
     u: Sequence[int], step: int, spec: LatticeSpec, reached: Coord
 ) -> tuple[Edge, int]:
     """Edge traversed by one step from u to reached, and the traversal
-    sign.  The edge is rooted at the tail of a positive step and the
-    head of a negative one; its code is the step itself on directed
-    lattices and the axis on undirected ones.  The caller has already
-    taken the step (apply_step or a walk loop), so it is not checked
-    again."""
-    axis, sign = step_axis_sign(step, spec)
+    sign.  The edge's root and code follow the step table's rule.  The
+    caller has already taken the step (apply_step or a walk loop), so it
+    is not checked again."""
+    _, sign, _, code = step_entry(step, spec)
     root = tuple(u) if sign > 0 else reached
-    return Edge(root, step if spec.directed else axis + 1), sign
+    return Edge(root, code), sign
 
 
 def walk_nodes(w: Walk, spec: LatticeSpec) -> list[Coord]:
@@ -178,14 +181,11 @@ def walk_edges(w: Walk, spec: LatticeSpec) -> list[tuple[Edge, int]]:
 
 
 def walk_dimension(w: Walk, spec: LatticeSpec) -> int:
-    """Distinct orientations (directed) or axes (undirected) used by w."""
+    """Distinct edge codes crossed by w: orientations (directed) or axes
+    (undirected)."""
     if not w.steps:
         raise ValueError("empty walk has no dimension")
-    for s in w.steps:
-        step_axis_sign(s, spec)
-    if spec.directed:
-        return len(set(w.steps))
-    return len({abs(s) for s in w.steps})
+    return len({step_entry(s, spec)[3] for s in w.steps})
 
 
 def trace_steps(steps: Sequence[int], spec: LatticeSpec) -> tuple[tuple[Coord, ...], int]:
@@ -194,7 +194,7 @@ def trace_steps(steps: Sequence[int], spec: LatticeSpec) -> tuple[tuple[Coord, .
     pos = (0,) * spec.d
     offsets = [pos]
     for s in steps:
-        axis, sign = step_axis_sign(s, spec)
+        axis, sign, _, _ = step_entry(s, spec)
         pos = pos[:axis] + (pos[axis] + sign,) + pos[axis + 1 :]
         offsets.append(pos)
     root = min(range(len(offsets)), key=offsets.__getitem__)

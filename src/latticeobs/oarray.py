@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .gfpoly import FieldPrime, base_digits, coeffs_to_index, interpolate_coeffs, poly_eval
+from .gfpoly import FieldPrime, coeffs_to_index, interpolate_coeffs, poly_eval
 
 
 @dataclass(frozen=True)
@@ -32,15 +32,6 @@ class OASpec:
     @cached_property
     def rows(self) -> int:
         return self.p.modulus**self.t
-
-
-def oa_entry(i: int, j: int, spec: OASpec) -> int:
-    """Entry at row i, column j (columns are 1-based)."""
-    if not 0 <= i < spec.rows:
-        raise ValueError(f"row {i} outside [0, {spec.rows})")
-    if not 1 <= j <= spec.cols:
-        raise ValueError(f"column {j} outside [1, {spec.cols}]")
-    return poly_eval(base_digits(i, spec.t, spec.p), j, spec.p)
 
 
 def oa_validate(spec: OASpec, budget: int = 10_000_000):

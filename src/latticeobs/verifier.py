@@ -7,7 +7,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .colorer import SchemeParams, assign_color, color_walk, scheme_columns
+from .colorer import SchemeParams, assign_color, color_walk
 from .decoder import OK, WalkObservation, decode
 from .gfpoly import ceil_nth_root
 # apply_step goes unused here; bench/layers.py counts calls made through
@@ -69,7 +69,9 @@ def ambiguity_scan(
 ) -> ScanReport:
     """Enumerate every walk of length <= max_len; group the ones of
     dimension >= t_min by color sequence and flag any sequence reaching
-    two distinct endpoints.
+    two distinct endpoints.  t_min must be in [1, min(max_len, codes)],
+    since a walk of max_len steps spans at most that many edge codes;
+    anything else would group no walk and check nothing.
 
     exclude_single_edge drops walks that keep re-crossing one edge
     (undirected schemes leave those ambiguous by design).  color_fn
@@ -85,11 +87,15 @@ def ambiguity_scan(
     order is lexicographic order, so only reported ends are unranked.
     """
     spec = params.lattice
+    top = min(max_len, spec.codes)
+    if not 1 <= t_min <= top:
+        raise ValueError(
+            f"t_min={t_min} outside [1, {top}]: max_len={max_len}, {spec.codes} edge codes"
+        )
     if color_fn is None:
         color_fn = lambda e: assign_color(e, params)
-    dims, weights, directed = spec.dims, spec.weights, spec.directed
-    n_codes = scheme_columns(spec)
-    moves = spec.step_table.items()
+    dims, n_codes = spec.dims, spec.codes
+    moves = spec.step_table.values()
     colors: dict[int, int] = {}  # edge id -> color
     successors: dict[int, list] = {}
     marks = [0] * (n_codes + 1)  # walk steps per orientation or axis
@@ -100,12 +106,11 @@ def ambiguity_scan(
     def build(r):
         u = unrank(r, spec)
         out = []
-        for s, (axis, sign) in moves:
+        for axis, sign, dr, code in moves:
             x = u[axis] + sign
             if not 0 <= x < dims[axis]:
                 continue
-            nxt = r + sign * weights[axis]
-            code = s if directed else axis + 1
+            nxt = r + dr
             root, root_rank = (u, r) if sign > 0 else (u[:axis] + (x,) + u[axis + 1 :], nxt)
             edge = root_rank * n_codes + code - 1
             color = colors.get(edge)
@@ -169,23 +174,20 @@ def random_walk(
     it changes stays inside its axis.  The node's rank moves with it,
     so distinct edges are counted by their root's rank and code."""
     spec = params.lattice
-    n_codes = scheme_columns(spec)
+    n_codes = spec.codes
     menu = list(range(1, n_codes + 1))
     if not 1 <= t <= len(menu):
         raise ValueError(f"t={t} not realizable on this lattice")
     if length < t:
         raise ValueError("dimension t needs at least t steps")
-    dims, weights, table = spec.dims, spec.weights, spec.step_table
+    dims, table = spec.dims, spec.step_table
     rng = random.Random(seed)
     for _ in range(max_tries):
         allowed = sorted(rng.sample(menu, t))
         if not spec.directed:
             allowed = [s for a in allowed for s in (a, -a)]
         # (step, axis, sign, rank change, edge code), in the order of allowed
-        moves = []
-        for s in allowed:
-            axis, sign = table[s]
-            moves.append((s, axis, sign, sign * weights[axis], s if spec.directed else axis + 1))
+        moves = [(s, *table[s]) for s in allowed]
         node = [rng.randrange(n) for n in dims]
         start = tuple(node)
         r = rank(start, spec)
@@ -244,6 +246,8 @@ def roundtrip_campaign(
 ) -> CampaignReport:
     """Drive the decoder with seeded ground-truth walks: color each walk,
     decode the colors alone, and compare against the truth."""
+    if n_walks < 1:
+        raise ValueError(f"n_walks={n_walks}: a campaign needs at least one walk")
     spec = params.lattice
     ok = 0
     failures = []

@@ -22,7 +22,7 @@ from latticeobs.lattice import (
     walk_dimension,
     walk_edges,
 )
-from latticeobs.oarray import OASpec, oa_entry, oa_validate
+from latticeobs.oarray import OASpec, oa_validate
 from latticeobs.verifier import (
     ambiguity_scan,
     lb_walk_family,
@@ -204,7 +204,7 @@ def test_criterion_5_digit_recovery_oracle():
         tables[t] = [base_digits(i, t, p) for i in range(spec.rows)]
         parities[t] = [tuple(a & 1 for a in c) for c in tables[t]]
         poly_vals[t] = [
-            [oa_entry(i, j, spec) for j in range(1, cols + 1)]
+            [poly_eval(base_digits(i, spec.t, spec.p), j, spec.p) for j in range(1, cols + 1)]
             for i in range(spec.rows)
         ]
 

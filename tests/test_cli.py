@@ -201,6 +201,11 @@ def test_decode_aux_coloring_exits_2(tmp_path, capsys):
         ("color", "--dims", "4x4", "--t", "2", "--scheme", "color2", "--out", "x"),
         ("verify", "bound", "--dims", "4x4", "--t", "2", "--sigma", "4"),
         ("color", "--dims", "1" + "0" * 330 + "x2", "--t", "1", "--directed", "--out", "x.txt"),
+        ("verify", "scan", "--dims", "3x3", "--directed", "--t", "2", "--max-len", "3", "--t-min", "5"),
+        ("verify", "scan", "--dims", "3x3", "--directed", "--t", "2", "--max-len", "0"),
+        ("verify", "roundtrip", "--dims", "3x3", "--directed", "--t", "2", "--walks", "-1"),
+        ("verify", "roundtrip", "--dims", "3x3", "--directed", "--t", "2", "--walks", "0"),
+        ("color", "--dims", "4x4", "--directed", "--t", "2", "--origin-index", "3", "--out", "x"),
     ],
 )
 def test_parameter_errors_exit_2(argv, capsys):

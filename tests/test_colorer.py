@@ -21,7 +21,6 @@ from latticeobs.colorer import (
     parity_bits,
     parity_group,
     parse_header,
-    scheme_columns,
 )
 from latticeobs.lattice import Edge, LatticeSpec, Walk, edge_endpoints, rank, walk_edges, walk_nodes
 
@@ -63,7 +62,7 @@ def test_sigma_covers_size_and_columns():
         s = spec(dims, directed, t)
         p = default_sigma(s).modulus
         assert p**t >= s.size
-        assert p > scheme_columns(s)
+        assert p > s.codes
 
 
 def test_make_scheme_kind_checks():
@@ -79,6 +78,15 @@ def test_make_scheme_kind_checks():
         make_scheme(spec((4, 4), False, 2), "mod3-aux", origin_index=3)
     with pytest.raises(ValueError):
         make_scheme(spec((4, 4), True, 2), "rainbow")
+
+
+@pytest.mark.parametrize(
+    "directed,t,kind", [(True, 2, "colord"), (False, 2, "undir"), (True, 4, "color2")]
+)
+def test_make_scheme_refuses_origin_index(directed, t, kind):
+    "Only mod3-aux reads an origin index; any other kind refuses one."
+    with pytest.raises(ValueError, match="origin index applies only to mod3-aux"):
+        make_scheme(spec((4, 4), directed, t), kind, origin_index=1)
 
 
 def test_make_scheme_sigma_override():

@@ -18,7 +18,7 @@ from latticeobs.decoder import (
 )
 from latticeobs.gfpoly import FieldPrime, base_digits, poly_eval
 from latticeobs.lattice import Edge, LatticeSpec, Walk, walk_dimension, walk_nodes
-from latticeobs.oarray import OASpec, oa_entry
+from latticeobs.oarray import OASpec
 from latticeobs.verifier import fault_inject
 
 P5 = FieldPrime(5)
@@ -115,7 +115,10 @@ def test_array_entry_diff_matches_entry_subtraction():
         for lo in range(hi + 1):
             deltas = tuple(a - b for a, b in zip(table[hi], table[lo]))
             for j in range(1, 5):
-                want = (oa_entry(hi, j, oa) - oa_entry(lo, j, oa)) % 5
+                want = (
+                    poly_eval(base_digits(hi, oa.t, oa.p), j, oa.p)
+                    - poly_eval(base_digits(lo, oa.t, oa.p), j, oa.p)
+                ) % 5
                 assert poly_eval(deltas, j, P5) == want
 
 

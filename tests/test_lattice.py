@@ -9,6 +9,7 @@ from latticeobs.lattice import (
     LatticeSpec,
     Walk,
     apply_step,
+    edge_endpoints,
     in_bounds,
     rank,
     rank_difference,
@@ -93,6 +94,50 @@ def test_step_edge_rooting():
     # undirected edges carry the axis, not the orientation
     edge, sign = step_edge((1, 1), -2, U33, apply_step((1, 1), -2, U33))
     assert (edge, sign) == (Edge((1, 0), 2), -1)
+
+
+SMALL_SPECS = [
+    LatticeSpec(dims, directed, 1)
+    for d in (1, 2, 3)
+    for dims in itertools.product((2, 3, 4), repeat=d)
+    for directed in (True, False)
+]
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=lambda s: f"{s.dims}-{s.directed}")
+def test_step_table_matches_reference_stack(spec):
+    """Each entry (axis, sign, rank change, edge code) as apply_step,
+    rank and edge_endpoints see it, from every node the step can leave;
+    codes is the largest edge code edge_endpoints accepts."""
+    d = spec.d
+    if spec.directed:
+        steps = set(range(1, 2 * d + 1))
+    else:
+        steps = {s for j in range(1, d + 1) for s in (j, -j)}
+    assert set(spec.step_table) == steps
+    for s, (axis, sign, dr, code) in spec.step_table.items():
+        # directed: the step is its orientation code; undirected: the axis
+        assert code == (s if spec.directed else abs(s))
+        moved = 0
+        for u in all_coords(spec):
+            try:
+                v = apply_step(u, s, spec)
+            except ValueError:
+                continue
+            moved += 1
+            delta = [b - a for a, b in zip(u, v)]
+            assert delta == [sign if j == axis else 0 for j in range(d)]
+            assert rank(v, spec) - rank(u, spec) == dr
+            edge, edge_sign = step_edge(u, s, spec, v)
+            assert (edge.code, edge_sign) == (code, sign)
+            assert edge_endpoints(edge, spec) == (min(u, v), max(u, v))
+        assert moved == spec.size // spec.dims[axis] * (spec.dims[axis] - 1)
+    origin = (0,) * d
+    assert spec.codes == (2 * d if spec.directed else d)
+    edge_endpoints(Edge(origin, spec.codes), spec)
+    for code in (0, spec.codes + 1):
+        with pytest.raises(ValueError, match="bad edge code"):
+            edge_endpoints(Edge(origin, code), spec)
 
 
 def test_walk_nodes_and_edges():

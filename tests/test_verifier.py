@@ -144,6 +144,29 @@ def test_ambiguity_scan_budget():
         ambiguity_scan(params, max_len=4, t_min=2, budget=100)
 
 
+@pytest.mark.parametrize(
+    "max_len,t_min",
+    [
+        (0, 2),  # no step to take
+        (0, 0),
+        (3, 0),
+        (3, 5),
+        (6, 5),  # 3x3 directed has only 4 edge codes
+        (1, 2),  # one step spans one code
+        (-1, 1),
+    ],
+)
+def test_ambiguity_scan_refuses_t_min_it_cannot_check(max_len, t_min):
+    """t_min must be in [1, min(max_len, edge codes)]: above that no
+    scanned walk is grouped, and the scan would pass having checked
+    nothing."""
+    params = make_scheme(spec((3, 3), True, 2), "colord")
+    top = min(max_len, 4)
+    message = rf"t_min={t_min} outside \[1, {top}\]: max_len={max_len}, 4 edge codes"
+    with pytest.raises(ValueError, match=message):
+        ambiguity_scan(params, max_len=max_len, t_min=t_min)
+
+
 def test_ambiguity_scan_single_edge_filter():
     """Undirected oscillations collide by design; dropping walks that
     never leave one edge clears the scan."""
@@ -198,7 +221,7 @@ def _assert_scan_matches_reference(params, max_len, t_min, **kwargs):
 
 
 @pytest.mark.parametrize("dims", [(3, 3), (3, 4)])
-@pytest.mark.parametrize("t_min", [1, 2, 3])
+@pytest.mark.parametrize("t_min", [1, 2, 3, 4])
 def test_ambiguity_scan_matches_reference_directed(dims, t_min):
     params = make_scheme(spec(dims, True, 2), "colord")
     _assert_scan_matches_reference(params, 4, t_min)
@@ -317,6 +340,13 @@ def test_roundtrip_campaign_all_ok():
     assert report.lines().endswith("ok=50/50")
     assert "scheme=colord" in report.lines()
     assert "dims=5x5" in report.lines()
+
+
+@pytest.mark.parametrize("n_walks", [0, -1])
+def test_roundtrip_campaign_needs_a_walk(n_walks):
+    params = make_scheme(spec((3, 3), True, 2), "colord")
+    with pytest.raises(ValueError, match=f"n_walks={n_walks}: a campaign needs at least one walk"):
+        roundtrip_campaign(params, t=2, n_walks=n_walks, length=6, seed=0)
 
 
 def test_roundtrip_campaign_undirected():
