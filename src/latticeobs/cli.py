@@ -30,7 +30,7 @@ from .decoder import AMBIGUOUS, OK, WalkObservation, decode
 from .gfpoly import FieldPrime
 from .lattice import LatticeSpec
 from .oarray import OASpec, oa_validate
-from .verifier import ambiguity_scan, lower_bound_colors, roundtrip_campaign
+from .verifier import MAX_SCAN_LEN, ambiguity_scan, lower_bound_colors, roundtrip_campaign
 
 DIRECTED_KINDS = ("colord", "color2")
 
@@ -211,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = vsub.add_parser("scan", help="exhaustive collision scan")
     _add_lattice_args(p_scan)
-    p_scan.add_argument("--max-len", dest="max_len", type=int, required=True)
+    p_scan.add_argument("--max-len", dest="max_len", type=int, required=True,
+                        help=f"longest walk to scan, at most {MAX_SCAN_LEN} (more exits 2)")
     p_scan.add_argument("--t-min", dest="t_min", type=int, default=0,
                         help="minimum walk dimension to group (default: t)")
     p_scan.add_argument("--budget", type=int, default=5_000_000)

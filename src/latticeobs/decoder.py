@@ -10,8 +10,8 @@ decodable scheme, in five stages:
   trace    rebuild the walk's shape relative to its start and find its
            lexicographically smallest node;
   locate   place that minimum absolutely;
-  verify   recolor every edge of the placed walk and demand an exact
-           match.
+  verify   recolor the placed walk once and demand an exact match; the
+           embedding is the start plus the offsets the trace found.
 
 Only `locate` depends on the scheme kind: colord and undir solve the
 minimum's orthogonal-array row from color-value differences, color2
@@ -22,9 +22,12 @@ back "ambiguous".  Reports never guess.
 """
 
 from dataclasses import dataclass
+from operator import add
 
 from .colorer import SchemeParams, color_unpack, color_walk
 from .gfpoly import FieldPrime, base_digits, poly_eval
+# walk_nodes goes unused here; bench/layers.py times calls made through
+# decoder.walk_nodes, so the name stays importable from this module.
 from .lattice import Walk, rank_difference, trace_steps, unrank, walk_nodes
 from .oarray import oa_row_from_projection
 
@@ -120,31 +123,20 @@ def decode(obs: WalkObservation) -> DecodeReport:
             raise ObservationError("walk spans fewer than t orientations")
         offsets, root_idx = trace_steps(steps, spec)
         start = locate(params, parts, signs, offsets, root_idx)
-        return _place_and_verify(obs, steps, start, root_idx)
+        try:
+            recolored = color_walk(Walk(start, tuple(steps)), params)
+        except ValueError:
+            raise ObservationError("placed walk leaves the lattice") from None
+        if recolored != obs.colors:
+            raise ObservationError("recolored walk differs from the observation")
     except AmbiguousObservation:
         return DecodeReport(AMBIGUOUS)
     except ObservationError:
         return DecodeReport(INVALID)
-
-
-def _place_and_verify(obs, steps, start, root_idx) -> DecodeReport:
-    """Anchor the traced shape at an absolute start, recolor every edge,
-    and demand an exact match with the observation."""
-    params = obs.params
-    walk = Walk(start, tuple(steps))
-    try:
-        nodes = walk_nodes(walk, params.lattice)
-        recolored = color_walk(walk, params)
-    except ValueError:
-        raise ObservationError("placed walk leaves the lattice") from None
-    if recolored != obs.colors:
-        raise ObservationError("recolored walk differs from the observation")
+    # color_walk checked every start + offset; the list sizes the tuple exactly
+    nodes = tuple([tuple(map(add, start, off)) for off in offsets])
     return DecodeReport(
-        OK,
-        root=nodes[root_idx],
-        root_index=root_idx,
-        current=nodes[-1],
-        embedding=tuple(nodes),
+        OK, root=nodes[root_idx], root_index=root_idx, current=nodes[-1], embedding=nodes
     )
 
 

@@ -146,18 +146,6 @@ def apply_step(u: Sequence[int], step: int, spec: LatticeSpec) -> Coord:
     return _move(tuple(u), step, spec)
 
 
-def step_edge(
-    u: Sequence[int], step: int, spec: LatticeSpec, reached: Coord
-) -> tuple[Edge, int]:
-    """Edge traversed by one step from u to reached, and the traversal
-    sign.  The edge's root and code follow the step table's rule.  The
-    caller has already taken the step (apply_step or a walk loop), so it
-    is not checked again."""
-    _, sign, _, code = step_entry(step, spec)
-    root = tuple(u) if sign > 0 else reached
-    return Edge(root, code), sign
-
-
 def walk_nodes(w: Walk, spec: LatticeSpec) -> list[Coord]:
     if not in_bounds(w.start, spec):
         raise ValueError(f"start {w.start} outside lattice {spec.dims}")
@@ -165,19 +153,6 @@ def walk_nodes(w: Walk, spec: LatticeSpec) -> list[Coord]:
     for s in w.steps:
         nodes.append(_move(nodes[-1], s, spec))
     return nodes
-
-
-def walk_edges(w: Walk, spec: LatticeSpec) -> list[tuple[Edge, int]]:
-    """Edges traversed by w, each with its traversal sign."""
-    node = tuple(w.start)
-    if not in_bounds(node, spec):
-        raise ValueError(f"start {w.start} outside lattice {spec.dims}")
-    out = []
-    for s in w.steps:
-        nxt = _move(node, s, spec)
-        out.append(step_edge(node, s, spec, nxt))
-        node = nxt
-    return out
 
 
 def walk_dimension(w: Walk, spec: LatticeSpec) -> int:

@@ -51,6 +51,11 @@ def lb_walk_family(spec: LatticeSpec) -> list[Walk]:
     ]
 
 
+# ambiguity_scan recurses once per step, and every lattice but the
+# two-node path has at least 2^32 walks of 64 steps, far past any budget.
+MAX_SCAN_LEN = 64
+
+
 @dataclass(frozen=True)
 class ScanReport:
     scanned: int
@@ -71,7 +76,8 @@ def ambiguity_scan(
     dimension >= t_min by color sequence and flag any sequence reaching
     two distinct endpoints.  t_min must be in [1, min(max_len, codes)],
     since a walk of max_len steps spans at most that many edge codes;
-    anything else would group no walk and check nothing.
+    anything else would group no walk and check nothing.  max_len above
+    MAX_SCAN_LEN is refused before any walk is built.
 
     exclude_single_edge drops walks that keep re-crossing one edge
     (undirected schemes leave those ambiguous by design).  color_fn
@@ -86,6 +92,8 @@ def ambiguity_scan(
     colored once, through color_fn.  End nodes are kept as ranks; rank
     order is lexicographic order, so only reported ends are unranked.
     """
+    if max_len > MAX_SCAN_LEN:
+        raise ValueError(f"max_len={max_len} above the scan cap of {MAX_SCAN_LEN} steps")
     spec = params.lattice
     top = min(max_len, spec.codes)
     if not 1 <= t_min <= top:

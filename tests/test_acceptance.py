@@ -20,7 +20,7 @@ from latticeobs.lattice import (
     Walk,
     apply_step,
     walk_dimension,
-    walk_edges,
+    walk_nodes,
 )
 from latticeobs.oarray import OASpec, oa_validate
 from latticeobs.verifier import (
@@ -263,7 +263,7 @@ def test_criterion_6_sign_recovery_exhaustive():
             for t in range(1, base.d + 1)
         }
         for w in _undirected_walks(base, 6):
-            edges = {e for e, _ in walk_edges(w, base)}
+            edges = {(min(u, v), abs(s)) for (u, v), s in zip(itertools.pairwise(walk_nodes(w, base)), w.steps)}
             if len(edges) < 2:
                 continue
             tw = walk_dimension(w, base)

@@ -206,6 +206,8 @@ def test_decode_aux_coloring_exits_2(tmp_path, capsys):
         ("verify", "roundtrip", "--dims", "3x3", "--directed", "--t", "2", "--walks", "-1"),
         ("verify", "roundtrip", "--dims", "3x3", "--directed", "--t", "2", "--walks", "0"),
         ("color", "--dims", "4x4", "--directed", "--t", "2", "--origin-index", "3", "--out", "x"),
+        ("verify", "scan", "--dims", "3x3", "--directed", "--t", "2", "--max-len", "5000"),
+        ("verify", "scan", "--dims", "2", "--t", "1", "--max-len", "2000", "--budget", "100000"),
     ],
 )
 def test_parameter_errors_exit_2(argv, capsys):

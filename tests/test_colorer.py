@@ -22,7 +22,7 @@ from latticeobs.colorer import (
     parity_group,
     parse_header,
 )
-from latticeobs.lattice import Edge, LatticeSpec, Walk, edge_endpoints, rank, walk_edges, walk_nodes
+from latticeobs.lattice import Edge, LatticeSpec, Walk, edge_endpoints, rank, walk_nodes
 
 
 def spec(dims, directed, t):
@@ -307,10 +307,13 @@ def test_color_walk_matches_per_edge_assignment():
         walks += [_seeded_walk(s, rng, rng.randrange(1, 12)) for _ in range(200)]
         downs = tops = 0
         for w in walks:
-            edges = walk_edges(w, s)
-            assert color_walk(w, params) == tuple(assign_color(e, params) for e, _ in edges)
-            downs += any(sign < 0 for _, sign in edges)
-            tops += any(x == n - 1 for u in walk_nodes(w, s) for x, n in zip(u, s.dims))
+            # each reference edge comes from its endpoints' coordinates alone
+            nodes = walk_nodes(w, s)
+            hops = list(zip(nodes, w.steps, nodes[1:]))
+            edges = [Edge(min(u, v), st if s.directed else abs(st)) for u, st, v in hops]
+            assert color_walk(w, params) == tuple(assign_color(e, params) for e in edges)
+            downs += any(v < u for u, _, v in hops)
+            tops += any(x == n - 1 for u in nodes for x, n in zip(u, s.dims))
         assert downs > 100 and tops > 20  # negative steps and the top boundary are covered
     params = make_scheme(spec((3, 3), True, 2), "colord")
     for bad in (Walk((3, 0), (3,)), Walk((0, 0), (1, 1, 1)), Walk((0, 0), (0,)), Walk((0, 0), (5,))):

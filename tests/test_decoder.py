@@ -1,6 +1,7 @@
 """Decoding observations back to exact lattice positions."""
 
 import itertools
+import random
 
 import pytest
 
@@ -19,7 +20,7 @@ from latticeobs.decoder import (
 from latticeobs.gfpoly import FieldPrime, base_digits, poly_eval
 from latticeobs.lattice import Edge, LatticeSpec, Walk, walk_dimension, walk_nodes
 from latticeobs.oarray import OASpec
-from latticeobs.verifier import fault_inject
+from latticeobs.verifier import fault_inject, random_walk
 
 P5 = FieldPrime(5)
 
@@ -50,9 +51,10 @@ def all_walks(s, max_len):
 
 
 def distinct_edges(w, s):
-    from latticeobs.lattice import walk_edges
-
-    return len({e for e, _ in walk_edges(w, s)})
+    "Distinct edges w crosses, each built from its endpoints' coordinates."
+    nodes = walk_nodes(w, s)
+    hops = zip(nodes, w.steps, nodes[1:])
+    return len({Edge(min(u, v), st if s.directed else abs(st)) for u, st, v in hops})
 
 
 def test_observation_rejects_empty():
@@ -267,6 +269,34 @@ def test_decode2d_exact_on_more_walks():
         assert report.status == OK
         assert report.embedding == tuple(nodes)
         assert report.current == nodes[-1]
+
+
+def test_decode_verifies_in_one_pass(monkeypatch):
+    """decode recolors the placed walk once, with color_walk, and builds
+    the embedding from the trace: with walk_nodes made to raise, clean
+    and corrupted observations get the same reports."""
+    rng = random.Random(31)
+    observations = []
+    for s, kind in [
+        (spec((5, 5, 5), True, 3), "colord"),
+        (spec((4, 4, 4), False, 2), "undir"),
+        (spec((16, 16), True, 4), "color2"),
+    ]:
+        params = make_scheme(s, kind)
+        for seed in range(40):
+            obs = observe(random_walk(params, s.t, s.t + 4, seed, 2), params)
+            pos = rng.randrange(len(obs.colors))
+            observations += [obs, fault_inject(obs, pos, rng.randrange(palette_size(params)))]
+    expected = [decode(obs) for obs in observations]
+
+    def refuse(*args):
+        raise AssertionError("decode walked the placed walk a second time")
+
+    monkeypatch.setattr("latticeobs.decoder.walk_nodes", refuse)
+    assert [decode(obs) for obs in observations] == expected
+    statuses = [r.status for r in expected]
+    assert statuses[::2] == [OK] * 120
+    assert statuses[1::2].count(INVALID) > 100
 
 
 def test_out_of_palette_color_is_invalid():

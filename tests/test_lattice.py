@@ -13,11 +13,9 @@ from latticeobs.lattice import (
     in_bounds,
     rank,
     rank_difference,
-    step_edge,
     trace_steps,
     unrank,
     walk_dimension,
-    walk_edges,
     walk_nodes,
 )
 
@@ -85,17 +83,6 @@ def test_apply_step_frozen():
             apply_step((1, 1), step, s)
 
 
-def test_step_edge_rooting():
-    # up step roots at the tail, down step at the head
-    edge, sign = step_edge((1, 1), 1, D33, apply_step((1, 1), 1, D33))
-    assert (edge, sign) == (Edge((1, 1), 1), 1)
-    edge, sign = step_edge((1, 1), 3, D33, apply_step((1, 1), 3, D33))
-    assert (edge, sign) == (Edge((0, 1), 3), -1)
-    # undirected edges carry the axis, not the orientation
-    edge, sign = step_edge((1, 1), -2, U33, apply_step((1, 1), -2, U33))
-    assert (edge, sign) == (Edge((1, 0), 2), -1)
-
-
 SMALL_SPECS = [
     LatticeSpec(dims, directed, 1)
     for d in (1, 2, 3)
@@ -108,7 +95,8 @@ SMALL_SPECS = [
 def test_step_table_matches_reference_stack(spec):
     """Each entry (axis, sign, rank change, edge code) as apply_step,
     rank and edge_endpoints see it, from every node the step can leave;
-    codes is the largest edge code edge_endpoints accepts."""
+    the reference edge is built from the two endpoints' coordinates
+    alone; codes is the largest edge code edge_endpoints accepts."""
     d = spec.d
     if spec.directed:
         steps = set(range(1, 2 * d + 1))
@@ -128,8 +116,8 @@ def test_step_table_matches_reference_stack(spec):
             delta = [b - a for a, b in zip(u, v)]
             assert delta == [sign if j == axis else 0 for j in range(d)]
             assert rank(v, spec) - rank(u, spec) == dr
-            edge, edge_sign = step_edge(u, s, spec, v)
-            assert (edge.code, edge_sign) == (code, sign)
+            edge = Edge(min(u, v), s if spec.directed else abs(s))
+            assert (edge.code, 1 if v > u else -1) == (code, sign)
             assert edge_endpoints(edge, spec) == (min(u, v), max(u, v))
         assert moved == spec.size // spec.dims[axis] * (spec.dims[axis] - 1)
     origin = (0,) * d
@@ -140,16 +128,9 @@ def test_step_table_matches_reference_stack(spec):
             edge_endpoints(Edge(origin, code), spec)
 
 
-def test_walk_nodes_and_edges():
+def test_walk_nodes():
     w = Walk((0, 0), (1, 2, 3))
     assert walk_nodes(w, D33) == [(0, 0), (1, 0), (1, 1), (0, 1)]
-    roots = [e.root for e, _ in walk_edges(w, D33)]
-    assert roots == [(0, 0), (1, 0), (0, 1)]
-    # walk_edges roots each edge as step_edge does
-    nodes = walk_nodes(w, D33)
-    assert walk_edges(w, D33) == [
-        step_edge(u, s, D33, v) for u, s, v in zip(nodes, w.steps, nodes[1:])
-    ]
     for bad in [
         Walk((3, 0), (3,)),  # start outside, first step leads back in
         Walk((0, 0), (1, 1, 1, 3)),  # leaves at a middle step
@@ -158,8 +139,6 @@ def test_walk_nodes_and_edges():
     ]:
         with pytest.raises(ValueError):
             walk_nodes(bad, D33)
-        with pytest.raises(ValueError):
-            walk_edges(bad, D33)
 
 
 def test_walk_dimension_frozen():

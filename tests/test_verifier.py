@@ -8,16 +8,9 @@ import pytest
 
 from latticeobs.colorer import assign_color, make_scheme, color_walk, palette_size
 from latticeobs.decoder import WalkObservation
-from latticeobs.lattice import (
-    LatticeSpec,
-    Walk,
-    apply_step,
-    step_edge,
-    walk_dimension,
-    walk_edges,
-    walk_nodes,
-)
+from latticeobs.lattice import Edge, LatticeSpec, Walk, apply_step, walk_dimension, walk_nodes
 from latticeobs.verifier import (
+    MAX_SCAN_LEN,
     CampaignReport,
     ambiguity_scan,
     fault_inject,
@@ -30,6 +23,15 @@ from latticeobs.verifier import (
 
 def spec(dims, directed, t):
     return LatticeSpec(tuple(dims), directed, t)
+
+
+def coordinate_edges(w, s):
+    "The edges w crosses, each built from its two endpoints' coordinates."
+    nodes = walk_nodes(w, s)
+    return [
+        Edge(min(u, v), st if s.directed else abs(st))
+        for u, st, v in zip(nodes, w.steps, nodes[1:])
+    ]
 
 
 @pytest.mark.parametrize(
@@ -110,7 +112,7 @@ def test_lb_walk_family_edge_disjoint(dims, directed, t):
     assert len(walks) == s.size // 2**s.d
     seen = set()
     for w in walks:
-        for edge, _ in walk_edges(w, s):
+        for edge in coordinate_edges(w, s):
             assert edge not in seen
             seen.add(edge)
 
@@ -167,6 +169,20 @@ def test_ambiguity_scan_refuses_t_min_it_cannot_check(max_len, t_min):
         ambiguity_scan(params, max_len=max_len, t_min=t_min)
 
 
+def test_ambiguity_scan_caps_walk_length():
+    """The two-node path has exactly two walks of each length, so the cap
+    itself is scanned in full; one step more is refused before any walk
+    is built, even with a budget that would allow it."""
+    params = make_scheme(spec((2,), True, 1), "colord")
+    report = ambiguity_scan(params, max_len=MAX_SCAN_LEN, t_min=1)
+    assert MAX_SCAN_LEN == 64
+    assert report.scanned == 128
+    assert report.ok
+    message = r"max_len=65 above the scan cap of 64 steps"
+    with pytest.raises(ValueError, match=message):
+        ambiguity_scan(params, max_len=65, t_min=1, budget=10**9)
+
+
 def test_ambiguity_scan_single_edge_filter():
     """Undirected oscillations collide by design; dropping walks that
     never leave one edge clears the scan."""
@@ -179,8 +195,9 @@ def test_ambiguity_scan_single_edge_filter():
 
 def _reference_scan(params, max_len, t_min, exclude_single_edge=False, color_fn=None):
     """(scanned, collisions) of ambiguity_scan, from a plain enumeration:
-    every start, every step that apply_step takes, each edge from
-    step_edge colored afresh, the dimension from walk_dimension."""
+    every start, every step that apply_step takes, each edge built from
+    its endpoints' coordinates and colored afresh, the dimension from
+    walk_dimension."""
     spec = params.lattice
     if color_fn is None:
         color_fn = lambda e: assign_color(e, params)
@@ -194,7 +211,7 @@ def _reference_scan(params, max_len, t_min, exclude_single_edge=False, color_fn=
                 nxt = apply_step(node, s, spec)
             except ValueError:
                 continue
-            edge, _ = step_edge(node, s, spec, nxt)
+            edge = Edge(min(node, nxt), s if spec.directed else abs(s))
             walk = Walk(start, steps + (s,))
             seq = colors + (color_fn(edge),)
             scanned += 1
@@ -282,7 +299,7 @@ def test_random_walk_output_pinned(config):
     h = hashlib.sha256()
     for seed in range(200):
         w = random_walk(params, t, t + 4, seed, min_edges)
-        assert len({e for e, _ in walk_edges(w, params.lattice)}) >= min_edges
+        assert len(set(coordinate_edges(w, params.lattice))) >= min_edges
         h.update(repr((w.start, w.steps)).encode() + b"\n")
     assert h.hexdigest() == RANDOM_WALK_DIGESTS[config]
 
@@ -302,7 +319,7 @@ def test_random_walk_undirected_spans_t_axes():
     params = make_scheme(spec((4, 4, 4), False, 2), "undir")
     w = random_walk(params, t=2, length=7, seed=7, min_distinct_edges=2)
     assert walk_dimension(w, params.lattice) == 2
-    assert len({e for e, _ in walk_edges(w, params.lattice)}) >= 2
+    assert len(set(coordinate_edges(w, params.lattice))) >= 2
 
 
 def test_random_walk_validation():
