@@ -9,7 +9,6 @@ matching lower bound, and exhaustive verification tooling.
 from .colorer import (
     SchemeParams,
     assign_color,
-    color_unpack,
     color_walk,
     coloring_lines,
     make_scheme,
@@ -51,7 +50,6 @@ __all__ = [
     "WalkObservation",
     "ambiguity_scan",
     "assign_color",
-    "color_unpack",
     "color_walk",
     "coloring_lines",
     "decode",

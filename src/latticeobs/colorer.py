@@ -8,7 +8,9 @@ where `group` carries information about the edge's root node that
 survives differencing (coefficient parities of the root's rank row,
 plus ternary distance digits on undirected lattices), `code` is the
 edge's orientation or axis, and `value` is the orthogonal-array entry
-of the root's rank row at that code's column.
+of the root's rank row at that code's column.  color_unpack inverts it
+into a plain (code, value, parity, digits) tuple; the decoder expands
+parity into bits only for the t columns it reads and its anchor edge.
 
 Kinds:
   colord    directed lattices, any t up to 2d
@@ -198,41 +200,29 @@ def assign_color(edge: Edge, params: SchemeParams) -> int:
     return _ASSIGNERS[params.kind](root, r, edge.code, params)
 
 
-@dataclass(frozen=True)
-class UnpackedColor:
-    group: int
-    code: int | None
-    value: int
-    parities: tuple[int, ...] | None = None
-    digits: tuple[int, ...] | None = None
-
-
-def color_unpack(c: int, params: SchemeParams) -> UnpackedColor:
-    """Invert a flat color id back into its parts."""
+def color_unpack(c: int, params: SchemeParams) -> tuple:
+    """Invert a flat color id into (code, value, parity, digits): the
+    edge code, the array value, the root row's coefficient parities
+    packed as parity_group packs them, and the undirected distance
+    digits.  color2 and mod3-aux carry parity 0 and no digits."""
     if not 0 <= c < palette_size(params):
         raise ValueError(f"color {c} outside palette of {palette_size(params)}")
-    t = params.lattice.t
     if params.kind == "color2":
         block, value = divmod(c, params.group_size)
-        return UnpackedColor(block, _COLOR2_BLOCK_TO_CODE[block], value)
+        return _COLOR2_BLOCK_TO_CODE[block], value, 0, ()
     if params.kind == "mod3-aux":
-        return UnpackedColor(c, None, c)
+        return None, c, 0, ()
+    t = params.lattice.t
     group, rem = divmod(c, params.group_size)
     block, value = divmod(rem, params.sigma.modulus)
-    if params.kind == "colord":
-        return UnpackedColor(group, block + 1, value, parities=parity_bits(group, t))
-    m2 = group >> t
+    parity = group & (1 << t) - 1
     digits = []
-    for _ in range(params.lattice.d - t + 2):
-        m2, dig = divmod(m2, 3)
-        digits.append(dig)
-    return UnpackedColor(
-        group,
-        block + 1,
-        value,
-        parities=parity_bits(group & (1 << t) - 1, t),
-        digits=tuple(digits),
-    )
+    if params.kind == "undir":
+        group >>= t
+        for _ in range(params.lattice.d - t + 2):
+            group, dig = divmod(group, 3)
+            digits.append(dig)
+    return block + 1, value, parity, tuple(digits)
 
 
 def color_walk(w: Walk, params: SchemeParams) -> tuple[int, ...]:

@@ -3,7 +3,8 @@
 The decoder never sees the walk's start.  One pipeline serves every
 decodable scheme, in five stages:
 
-  unpack   split each color into its code, value and group bits;
+  unpack   split each color into a (code, value, parity, digits) tuple;
+           locate expands parity bits for its t columns and anchor only;
   signs    read each step's traversal direction: from the code on
            directed lattices, from the distance digits on undirected
            ones (recover_signs);
@@ -24,7 +25,7 @@ back "ambiguous".  Reports never guess.
 from dataclasses import dataclass
 from operator import add
 
-from .colorer import SchemeParams, color_unpack, color_walk
+from .colorer import SchemeParams, color_unpack, color_walk, parity_bits, parity_group
 from .gfpoly import FieldPrime, base_digits, poly_eval
 # walk_nodes goes unused here; bench/layers.py times calls made through
 # decoder.walk_nodes, so the name stays importable from this module.
@@ -112,7 +113,7 @@ def decode(obs: WalkObservation) -> DecodeReport:
             parts = [color_unpack(c, params) for c in obs.colors]
         except ValueError as exc:
             raise ObservationError(str(exc)) from None
-        codes = [u.code for u in parts]
+        codes = [part[0] for part in parts]
         if spec.directed:
             signs = [spec.step_table[code][1] for code in codes]
             steps = codes
@@ -149,25 +150,24 @@ def _locate_oa(params, parts, signs, offsets, root_idx) -> tuple:
     the minimum's row.
     """
     spec = params.lattice
-    p = params.sigma
-    codes = [u.code for u in parts]
-    anchor = parts[root_idx - 1] if root_idx else parts[0]
-    points = []
-    for column in sorted(set(codes))[: spec.t]:
+    p, t = params.sigma, spec.t
+    codes = [part[0] for part in parts]
+    anchor_parity = parts[root_idx - 1 if root_idx else 0][2]
+    anchor_bits = parity_bits(anchor_parity, t)
+    columns = sorted(set(codes))[:t]
+    values = []
+    for column in columns:
         pos = codes.index(column)
         k = pos if signs[pos] > 0 else pos + 1
         gap = rank_difference(offsets, k, root_idx, spec)
-        deltas = recover_coef_diffs(gap, parts[pos].parities, anchor.parities, spec.t, p)
+        _, value, parity, _ = parts[pos]
+        deltas = recover_coef_diffs(gap, parity_bits(parity, t), anchor_bits, t, p)
         # entries are linear in the coefficients
-        shift = poly_eval(deltas, column, p)
-        points.append((column, (parts[pos].value - shift) % p.modulus))
-    row = oa_row_from_projection(
-        [c for c, _ in points], [v for _, v in points], params.oa
-    )
+        values.append((value - poly_eval(deltas, column, p)) % p.modulus)
+    row = oa_row_from_projection(columns, values, params.oa)
     if row >= spec.size:
         raise ObservationError("solved rank is outside the lattice")
-    coeffs = base_digits(row, spec.t, p)
-    if tuple(a & 1 for a in coeffs) != tuple(anchor.parities):
+    if parity_group(base_digits(row, t, p)) != anchor_parity:
         raise ObservationError("parity mismatch at the solved root")
     root = unrank(row, spec)
     return tuple(r - o for r, o in zip(root, offsets[root_idx]))
@@ -184,8 +184,8 @@ def _locate_color2(params, parts, signs, offsets, root_idx) -> tuple:
     start = []
     for axis in (0, 1):
         prev = None
-        for pos, part in enumerate(parts):
-            if (part.code - 1) % 2 != axis:
+        for pos, (code, _, _, _) in enumerate(parts):
+            if (code - 1) % 2 != axis:
                 continue
             if prev is not None and signs[pos] != signs[prev]:
                 break
@@ -193,7 +193,7 @@ def _locate_color2(params, parts, signs, offsets, root_idx) -> tuple:
         else:
             raise ObservationError(f"no up/down pairing on axis {axis + 1}")
         upos, dpos = (prev, pos) if signs[prev] > 0 else (pos, prev)
-        coord = parts[upos].value * r + parts[dpos].value
+        coord = parts[upos][1] * r + parts[dpos][1]
         # the up edge's root is its tail: walk node upos
         start.append(coord - offsets[upos][axis])
     return tuple(start)
@@ -226,10 +226,10 @@ def recover_signs(obs: WalkObservation, parts=None) -> list[int]:
         parts = [color_unpack(c, params) for c in obs.colors]
     for stream in range(spec.d - spec.t + 2):
         ideals = []
-        for part in parts:
-            dig = part.digits[stream]
+        for code, _, _, digits in parts:
+            dig = digits[stream]
             if stream > 0:
-                dig = (dig - 1 - (part.code == stream)) % 3
+                dig = (dig - 1 - (code == stream)) % 3
             ideals.append(dig)
         rel = _alternation_signs(ideals)
         if rel is None:
@@ -237,7 +237,7 @@ def recover_signs(obs: WalkObservation, parts=None) -> list[int]:
         if stream == 0:
             return rel
         # toward/away flips meaning on the corner's own axis
-        return [-s if parts[i].code == stream else s for i, s in enumerate(rel)]
+        return [-s if part[0] == stream else s for part, s in zip(parts, rel)]
     raise AmbiguousObservation("every distance stream is constant")
 
 

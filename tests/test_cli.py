@@ -1,10 +1,13 @@
 """Command-line interface: outputs, files, exit codes."""
 
+import os
+import subprocess
 import sys
 import time
 
 import pytest
 
+import latticeobs
 from latticeobs import cli, oarray
 from latticeobs.cli import main
 from latticeobs.colorer import coloring_lines, make_scheme
@@ -359,3 +362,28 @@ def test_entry_raises_system_exit(monkeypatch, capsys):
         entry()
     assert exc.value.code == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("module", ["latticeobs", "latticeobs.cli"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "scan", "--dims", "3x3", "--directed", "--t", "2", "--max-len", "5000"),
+        ("verify", "bound", "--dims", "16x16", "--t", "4"),
+    ],
+)
+def test_python_dash_m_matches_main(module, argv, capsys):
+    "`python -m latticeobs` and `python -m latticeobs.cli` run main."
+    src = os.path.dirname(os.path.dirname(os.path.abspath(latticeobs.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, *argv],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
+    if argv[1] == "scan":
+        assert proc.returncode == 2
+        assert "above the scan cap of 64 steps" in proc.stderr
+    else:
+        assert (proc.returncode, proc.stdout) == (0, "lower=3 palette=320\n")

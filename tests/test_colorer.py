@@ -128,11 +128,10 @@ def test_colord_frozen_values():
 
 def test_colord_unpack_frozen():
     params = make_scheme(spec((2, 2), True, 2), "colord")
-    part = color_unpack(7, params)
-    assert (part.group, part.code, part.value) == (0, 2, 2)
-    assert part.parities == (0, 0)
-    part = color_unpack(0, params)
-    assert (part.group, part.code, part.value) == (0, 1, 0)
+    code, value, parity, digits = color_unpack(7, params)
+    assert (parity, code, value, digits) == (0, 2, 2, ())
+    assert parity_bits(parity, 2) == (0, 0)
+    assert color_unpack(0, params) == (1, 0, 0, ())
 
 
 def test_color2_frozen_values():
@@ -142,8 +141,7 @@ def test_color2_frozen_values():
     assert assign_color(Edge(u, 3), params) == 7  # x remainder + r
     assert assign_color(Edge(u, 2), params) == 8  # y quotient + 2r
     assert assign_color(Edge(u, 4), params) == 15  # y remainder + 3r
-    part = color_unpack(7, params)
-    assert (part.code, part.value) == (3, 3)
+    assert color_unpack(7, params) == (3, 3, 0, ())
 
 
 def test_undir_frozen_values():
@@ -151,12 +149,12 @@ def test_undir_frozen_values():
     assert assign_color(Edge((0, 0), 1), params) == 240  # group 24
     c = assign_color(Edge((1, 0), 2), params)
     assert c == 167  # group 16, axis 2, array value 2
-    part = color_unpack(c, params)
-    assert part.group == 16
-    assert part.code == 2
-    assert part.value == 2
-    assert part.parities == (0, 0)
-    assert part.digits == (1, 1)
+    code, value, parity, digits = color_unpack(c, params)
+    assert parity | (digits[0] + 3 * digits[1]) << 2 == 16
+    assert code == 2
+    assert value == 2
+    assert parity_bits(parity, 2) == (0, 0)
+    assert digits == (1, 1)
 
 
 def test_mod3_frozen_values():
@@ -205,16 +203,34 @@ def test_unpack_inverts_assign(params):
     for edge in _edges(s):
         c = assign_color(edge, params)
         assert 0 <= c < palette_size(params)
-        part = color_unpack(c, params)
-        assert part.code == edge.code
+        code, _, parity, digits = color_unpack(c, params)
+        assert code == edge.code
         if params.kind != "color2":
             from latticeobs.gfpoly import base_digits
             from latticeobs.lattice import rank
 
             coeffs = base_digits(rank(edge.root, s), s.t, params.sigma)
-            assert part.parities == tuple(a & 1 for a in coeffs)
+            assert parity_bits(parity, s.t) == tuple(a & 1 for a in coeffs)
         if params.kind == "undir":
-            assert part.digits == distance_digits(edge.root, s)
+            assert digits == distance_digits(edge.root, s)
+
+
+@pytest.mark.parametrize("params", ROUNDTRIP_SCHEMES, ids=lambda p: p.kind)
+def test_unpack_inverts_every_palette_color(params):
+    "Every color of the palette, emitted or not, re-packs from its parts."
+    t = params.lattice.t
+    for c in range(palette_size(params)):
+        code, value, parity, digits = color_unpack(c, params)
+        if params.kind == "color2":
+            # blocks hold x-quotient, x-remainder, y-quotient, y-remainder
+            assert (parity, digits) == (0, ())
+            assert (1, 3, 2, 4).index(code) * params.group_size + value == c
+            continue
+        assert len(digits) == (params.lattice.d - t + 2 if params.kind == "undir" else 0)
+        group = parity | sum(d * 3**q for q, d in enumerate(digits)) << t
+        m = params.sigma.modulus
+        assert 0 <= value < m
+        assert group * params.group_size + (code - 1) * m + value == c
 
 
 @pytest.mark.parametrize("params", ROUNDTRIP_SCHEMES, ids=lambda p: p.kind)

@@ -299,6 +299,44 @@ def test_decode_verifies_in_one_pass(monkeypatch):
     assert statuses[1::2].count(INVALID) > 100
 
 
+def test_decode_unpacks_each_color_once(monkeypatch):
+    """decode unpacks an n-color observation with exactly n calls to
+    decoder.color_unpack, and recover_signs called alone unpacks the
+    colors itself and returns the walk's own signs."""
+    rng = random.Random(37)
+    walks = []
+    for s, kind in [
+        (spec((5, 5, 5), True, 3), "colord"),
+        (spec((4, 4, 4), False, 2), "undir"),
+        (spec((16, 16), True, 4), "color2"),
+    ]:
+        params = make_scheme(s, kind)
+        for seed in range(20):
+            walks.append((random_walk(params, s.t, s.t + 4, seed, 2), params))
+    real = color_unpack
+    calls = []
+
+    def counted(c, params):
+        calls.append(c)
+        return real(c, params)
+
+    monkeypatch.setattr("latticeobs.decoder.color_unpack", counted)
+    for w, params in walks:
+        obs = observe(w, params)
+        calls.clear()
+        assert decode(obs).status == OK
+        assert calls == list(obs.colors)
+        pos = rng.randrange(len(obs.colors))
+        faulted = fault_inject(obs, pos, rng.randrange(palette_size(params)))
+        calls.clear()
+        decode(faulted)
+        assert calls == list(faulted.colors)
+        if params.kind == "undir":
+            calls.clear()
+            assert recover_signs(obs) == [1 if st > 0 else -1 for st in w.steps]
+            assert calls == list(obs.colors)
+
+
 def test_out_of_palette_color_is_invalid():
     s = spec((3, 3), True, 2)
     params = make_scheme(s, "colord")
@@ -328,7 +366,7 @@ def test_orientation_fault_that_cannot_fit_is_invalid():
         assign_color(Edge((1, 1), 3), params),
         assign_color(Edge((0, 1), 3), params),
     )
-    assert [color_unpack(c, params).code for c in colors] == list(steps)
+    assert [color_unpack(c, params)[0] for c in colors] == list(steps)
     assert decode(WalkObservation(colors, params)).status == INVALID
 
 
