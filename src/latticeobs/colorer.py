@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
-from .gfpoly import FieldPrime, ceil_nth_root, next_prime_above, poly_eval
+from .gfpoly import FieldPrime, ceil_nth_root, next_prime_above
 # unrank goes unused here; bench/layers.py counts calls made through
 # colorer.unrank, so the name stays importable from this module.
 from .lattice import Edge, LatticeSpec, Walk, edge_endpoints, in_bounds, rank, unrank
@@ -51,6 +51,12 @@ class SchemeParams:
         if self.sigma is None:
             return None
         return OASpec(self.sigma, self.lattice.t, self.lattice.codes)
+
+    @cached_property
+    def row_table(self) -> tuple:
+        """Per edge code j, (j^k mod sigma, 1 << k) per rank digit k, lowest first."""
+        m, t, codes = self.sigma.modulus, self.lattice.t, range(self.lattice.codes + 1)
+        return tuple(tuple((pow(j, k, m), 1 << k) for k in range(t)) for j in codes)
 
 
 def default_sigma(spec: LatticeSpec) -> FieldPrime:
@@ -110,50 +116,39 @@ def parity_bits(group: int, t: int) -> tuple[int, ...]:
     return tuple(group >> (t - k) & 1 for k in range(1, t + 1))
 
 
-def distance_digits(u, spec: LatticeSpec) -> tuple[int, ...]:
-    """Ternary digits stored for node u on an undirected lattice.
+def _distance_group(u, spec: LatticeSpec) -> int:
+    """Node u's undirected distance digits, base 3 above the parity bits.
 
     Digit 0 is the coordinate sum mod 3.  Digit q >= 1 is
     (sum + n_q - 2 u_q) mod 3, one more than u's distance to the corner
     with coordinate q maxed out; recover_signs compensates for the
-    offset.  d - t + 2 digits in total.
-    """
+    offset.  d - t + 2 digits in total, digit 0 lowest."""
     s = sum(u)
-    digits = [s % 3]
-    for q in range(1, spec.d - spec.t + 2):
-        digits.append((s + spec.dims[q - 1] - 2 * u[q - 1]) % 3)
-    return tuple(digits)
-
-
-def _distance_group(u, spec: LatticeSpec) -> int:
-    """u's distance digits packed base 3, digit 0 lowest, shifted above
-    the t parity bits of the color group."""
-    return sum(dig * 3**q for q, dig in enumerate(distance_digits(u, spec))) << spec.t
-
-
-def _row_coeffs(r: int, t: int, m: int) -> list[int]:
-    """Coefficients of array row r: its t base-m digits, leading first.
-    Unchecked, unlike gfpoly.base_digits: make_scheme guarantees every
-    rank is below m**t."""
-    coeffs = [0] * t
-    for k in range(t - 1, -1, -1):
-        r, coeffs[k] = divmod(r, m)
-    return coeffs
+    group, weight = s % 3, 3
+    for q in range(spec.d - spec.t + 1):
+        group += (s + spec.dims[q] - 2 * u[q]) % 3 * weight
+        weight *= 3
+    return group << spec.t
 
 
 def oa_assign(root, r: int, code: int, params: SchemeParams) -> int:
-    """Orthogonal-array schemes (colord, undir): offset group *
-    group_size, where group = coefficient parities of row r (the root's
-    rank), extended on undirected lattices by the root's ternary
-    distance digits; block = code; value = array entry of row r at the
-    code's column.  The edge must fit."""
+    """Orthogonal-array schemes (colord, undir): group * group_size +
+    (code - 1) * sigma + value.  One loop over params.row_table reads
+    the base-sigma digits of the root's rank r, lowest first, adding each
+    digit's parity bit to group and its term to value: row r's array
+    entry at the code's column, once reduced mod sigma.  Undirected
+    lattices add the root's distance digits to group.  The edge must fit."""
+    m = params.sigma.modulus
+    group = value = 0
+    for power, bit in params.row_table[code]:
+        r, digit = divmod(r, m)
+        value += digit * power
+        if digit & 1:
+            group |= bit
     spec = params.lattice
-    p = params.sigma
-    coeffs = _row_coeffs(r, spec.t, p.modulus)
-    group = parity_group(coeffs)
     if not spec.directed:
         group |= _distance_group(root, spec)
-    return group * params.group_size + (code - 1) * p.modulus + poly_eval(coeffs, code, p)
+    return group * params.group_size + (code - 1) * m + value % m
 
 
 def color2_assign(root, r: int, code: int, params: SchemeParams) -> int:
@@ -297,9 +292,10 @@ def coloring_lines(params: SchemeParams):
     between carries only the last coefficient k = r mod sigma moves, and
     each step adds 1 mod sigma to every array entry and flips the last
     parity bit, so a root's entries are those of its row at k = 0, plus
-    k.  Only a carry, once per sigma roots, splits the rank and
-    evaluates the row again.  Distance digits repeat with period 3 along
-    the last axis, so three roots per run of that axis compute them."""
+    k.  Only a carry, once per sigma roots, colors the row again with
+    oa_assign, whose group holds the row's parities.  Distance digits
+    repeat with period 3 along the last axis, so three roots per run of
+    that axis compute them."""
     yield format_header(params)
     spec = params.lattice
     p = params.sigma
@@ -311,16 +307,16 @@ def coloring_lines(params: SchemeParams):
                 yield f"{coords} {c} {assign(root, r, c, params)}"
         return
     m, t, size = p.modulus, spec.t, params.group_size
-    columns = range(spec.codes + 1)  # indexed by code; 0 unused
-    blocks = [(c - 1) * m for c in columns]
+    columns = range(1, spec.codes + 1)
+    blocks = [0] + [(c - 1) * m for c in columns]  # indexed by code
     runs = range(min(3, spec.dims[-1]))
     distance = [0, 0, 0]
     for root, r, codes in lattice_edges(spec):
         k = r % m
         if not k:
-            coeffs = _row_coeffs(r, t, m)
-            entries = [poly_eval(coeffs, c, p) for c in columns]
-            parity = parity_group(coeffs)
+            row = [oa_assign(root, r, c, params) for c in columns]
+            entries = [0] + [color % m for color in row]
+            parity = row[0] // size & (1 << t) - 1
         x = root[-1]
         if not x and not spec.directed:
             distance = [_distance_group(root[:-1] + (y,), spec) for y in runs]

@@ -12,7 +12,9 @@ count (Miller-Rabin, and BPSW above its proven bound), so a scheme on
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -186,29 +188,31 @@ def interpolate_coeffs(
 ) -> tuple[int, ...]:
     """Coefficients of the unique degree-<t polynomial through t points.
 
-    points are (x, value) pairs whose x are distinct mod p.  The result
-    is highest power first, zero-padded to length t.
-    """
+    points are (x, value) pairs whose x are distinct mod p.  The result,
+    highest power first and zero-padded to length t, is the values' dot
+    products with the rows of _lagrange_basis, cached per (p, x mod p)."""
     pts = list(points)
     m = p.modulus
     if len(pts) != t:
         raise ValueError(f"need exactly {t} points, got {len(pts)}")
-    xs = [x % m for x, _ in pts]
+    xs = tuple(x % m for x, _ in pts)
     if len(set(xs)) != t:
         raise ValueError("interpolation points collide mod modulus")
-    # Lagrange, accumulated in ascending-power form.
-    asc = [0] * t
-    for l, (_, v) in enumerate(pts):
-        basis = [1]
-        denom = 1
+    values = [v for _, v in pts]
+    return tuple(sum(map(mul, row, values)) % m for row in _lagrange_basis(m, xs))
+
+
+@lru_cache(maxsize=1024)  # above C(12, 6) = 924, a decoder's column subsets at d <= 6
+def _lagrange_basis(m: int, xs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Inverse Vandermonde matrix at the distinct points xs mod prime m,
+    one row per power of x, highest first."""
+    columns = []
+    for l, xl in enumerate(xs):
+        basis, denom = [1], 1  # prod over j != l of (x - xs[j]), ascending
         for j, xj in enumerate(xs):
-            if j == l:
-                continue
-            shifted = [0] + basis
-            scaled = [c * (m - xj) % m for c in basis] + [0]
-            basis = [(a + b) % m for a, b in zip(shifted, scaled)]
-            denom = denom * (xs[l] - xj) % m
-        scale = v * pow(denom, m - 2, m) % m
-        for k, c in enumerate(basis):
-            asc[k] = (asc[k] + scale * c) % m
-    return tuple(reversed(asc))
+            if j != l:
+                basis = [(a - xj * b) % m for a, b in zip([0] + basis, basis + [0])]
+                denom = denom * (xl - xj) % m
+        inverse = pow(denom, m - 2, m)
+        columns.append([c * inverse % m for c in basis])
+    return tuple(zip(*columns))[::-1]

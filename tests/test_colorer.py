@@ -13,20 +13,31 @@ from latticeobs.colorer import (
     color_walk,
     coloring_lines,
     default_sigma,
-    distance_digits,
     format_header,
     lattice_edges,
     make_scheme,
+    oa_assign,
     palette_size,
     parity_bits,
     parity_group,
     parse_header,
 )
-from latticeobs.lattice import Edge, LatticeSpec, Walk, edge_endpoints, rank, walk_nodes
+from latticeobs.gfpoly import base_digits, poly_eval
+from latticeobs.lattice import Edge, LatticeSpec, Walk, edge_endpoints, rank, unrank, walk_nodes
 
 
 def spec(dims, directed, t):
     return LatticeSpec(tuple(dims), directed, t)
+
+
+def distance_digits(u, s):
+    """Reference for the ternary digits an undir color stores for node u:
+    digit 0 is the coordinate sum mod 3, digit q >= 1 is
+    (sum + n_q - 2 u_q) mod 3; d - t + 2 digits in total."""
+    total = sum(u)
+    return (total % 3,) + tuple(
+        (total + s.dims[q - 1] - 2 * u[q - 1]) % 3 for q in range(1, s.d - s.t + 2)
+    )
 
 
 def _edges(s):
@@ -514,3 +525,41 @@ def test_parse_header_rejects_malformed():
         parse_header("#dims=4x4 directed=1 t=2 sigma=6 scheme=colord")
     with pytest.raises(ValueError):
         parse_header("#dims=x4 directed=1 t=2 sigma=5 scheme=colord")
+
+
+def _reference_oa_color(root, r, code, params):
+    "oa_assign's color from the coefficient vector, digit by digit."
+    s, p = params.lattice, params.sigma
+    coeffs = base_digits(r, s.t, p)
+    group = parity_group(coeffs)
+    if not s.directed:
+        group |= sum(d * 3**q for q, d in enumerate(distance_digits(root, s))) << s.t
+    return group * params.group_size + (code - 1) * p.modulus + poly_eval(coeffs, code, p)
+
+
+@pytest.mark.parametrize(
+    "dims,directed,t",
+    [((4, 4), True, 2), ((4, 4), True, 3), ((4, 4), True, 4), ((3, 3, 3), True, 6)]
+    + [((4, 4, 4), False, t) for t in (1, 2, 3)],
+)
+def test_oa_assign_matches_reference_on_every_row(dims, directed, t):
+    "The one-loop kernel against the reference, at every (rank, code)."
+    s = spec(dims, directed, t)
+    params = make_scheme(s, "colord" if directed else "undir")
+    for r in range(s.size):
+        root = unrank(r, s)
+        for code in range(1, s.codes + 1):
+            assert oa_assign(root, r, code, params) == _reference_oa_color(root, r, code, params)
+
+
+@pytest.mark.parametrize("directed", [True, False])
+def test_oa_assign_matches_reference_on_huge_lattice(directed):
+    "500 seeded ranks on 10^27 nodes, where sigma is near 3.16e13."
+    s = spec((10**9,) * 3, directed, 2)
+    params = make_scheme(s, "colord" if directed else "undir")
+    rng = random.Random(27)
+    for _ in range(500):
+        r = rng.randrange(s.size)
+        root = unrank(r, s)
+        code = rng.randrange(1, s.codes + 1)
+        assert oa_assign(root, r, code, params) == _reference_oa_color(root, r, code, params)

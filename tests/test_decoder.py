@@ -1,10 +1,12 @@
 """Decoding observations back to exact lattice positions."""
 
 import itertools
+import math
 import random
 
 import pytest
 
+from latticeobs import decoder, gfpoly
 from latticeobs.colorer import assign_color, color_unpack, color_walk, make_scheme, palette_size
 from latticeobs.decoder import (
     AMBIGUOUS,
@@ -311,7 +313,7 @@ def test_decode_unpacks_each_color_once(monkeypatch):
         (spec((16, 16), True, 4), "color2"),
     ]:
         params = make_scheme(s, kind)
-        for seed in range(20):
+        for seed in range(3):
             walks.append((random_walk(params, s.t, s.t + 4, seed, 2), params))
     real = color_unpack
     calls = []
@@ -395,3 +397,48 @@ def test_faults_never_impersonate_the_original():
             assert report.embedding != original.embedding
         else:
             assert report.status == INVALID
+
+
+def test_parity_mismatch_at_solved_root_is_invalid(monkeypatch):
+    """A single substitution can leave the t columns consistent with a
+    row inside the lattice whose parities differ from the anchor's.
+    Spies on the row solve and on unrank confirm the refusal comes from
+    the parity check between them; the report is invalid."""
+    solved, unranked = [], []
+    solve, unrank = decoder.oa_row_from_projection, decoder.unrank
+
+    def spy_solve(*args):
+        solved.append(solve(*args))
+        return solved[-1]
+
+    def spy_unrank(*args):
+        unranked.append(args)
+        return unrank(*args)
+
+    monkeypatch.setattr(decoder, "oa_row_from_projection", spy_solve)
+    monkeypatch.setattr(decoder, "unrank", spy_unrank)
+    params = make_scheme(spec((5, 5), True, 2), "colord")
+    hits = 0
+    for seed in range(3):
+        obs = observe(random_walk(params, 2, 4, seed), params)
+        for pos in range(len(obs.colors)):
+            for c in range(palette_size(params)):
+                solved.clear()
+                unranked.clear()
+                report = decode(fault_inject(obs, pos, c))
+                if solved and solved[0] < params.lattice.size and not unranked:
+                    assert report.status == INVALID
+                    hits += 1
+    assert hits
+
+
+def test_lagrange_basis_built_once_per_column_subset():
+    """200 decodes of one scheme build the interpolation basis at most
+    once per t-subset of its edge codes."""
+    params = make_scheme(spec((5, 5, 5), True, 3), "colord")
+    gfpoly._lagrange_basis.cache_clear()
+    for seed in range(200):
+        assert decode(observe(random_walk(params, 3, 7, seed), params)).status == OK
+    info = gfpoly._lagrange_basis.cache_info()
+    assert info.hits + info.misses == 200  # one row solve per decode
+    assert info.misses <= math.comb(params.lattice.codes, 3)

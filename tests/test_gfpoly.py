@@ -1,5 +1,6 @@
 """Field arithmetic, index codecs, and interpolation."""
 
+import itertools
 import random
 from math import isqrt
 
@@ -269,6 +270,8 @@ def test_interpolate_frozen():
 
 
 def test_interpolate_rejects_bad_points():
+    "Checked before the basis cache is read, so a warm cache still refuses."
+    assert interpolate_coeffs([(1, 3), (2, 2)], 2, P5) == (4, 4)
     with pytest.raises(ValueError):
         interpolate_coeffs([(1, 3)], 2, P5)  # wrong count
     with pytest.raises(ValueError):
@@ -291,3 +294,38 @@ def test_interpolate_inverts_evaluation(data):
     )
     points = [(x, poly_eval(coeffs, x, p)) for x in xs]
     assert interpolate_coeffs(points, t, p) == coeffs
+
+
+def lagrange_reference(points, t, p):
+    "From-scratch Lagrange interpolation: a fresh basis and an inversion per point."
+    m = p.modulus
+    xs = [x % m for x, _ in points]
+    asc = [0] * t
+    for l, (_, v) in enumerate(points):
+        basis, denom = [1], 1
+        for j, xj in enumerate(xs):
+            if j != l:
+                scaled = [c * (m - xj) % m for c in basis] + [0]
+                basis = [(a + b) % m for a, b in zip([0] + basis, scaled)]
+                denom = denom * (xs[l] - xj) % m
+        scale = v * pow(denom, m - 2, m) % m
+        for k, c in enumerate(basis):
+            asc[k] = (asc[k] + scale * c) % m
+    return tuple(reversed(asc))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_cached_interpolation_matches_reference(d):
+    """Every t-subset of the columns 1..2d, cold and warm, under two
+    moduli that share those points: the cache is keyed by the modulus as
+    well as by the points reduced mod it."""
+    rng = random.Random(d)
+    gfpoly._lagrange_basis.cache_clear()
+    for t in range(1, 2 * d + 1):
+        for combo in itertools.combinations(range(1, 2 * d + 1), t):
+            for _ in range(2):
+                for p in (FieldPrime(7), FieldPrime(11)):
+                    m = p.modulus
+                    points = [(x + m * rng.randrange(3), rng.randrange(-m, 2 * m)) for x in combo]
+                    assert interpolate_coeffs(points, t, p) == lagrange_reference(points, t, p)
+    assert gfpoly._lagrange_basis.cache_info().hits
