@@ -202,7 +202,7 @@ def interpolate_coeffs(
     return tuple(sum(map(mul, row, values)) % m for row in _lagrange_basis(m, xs))
 
 
-@lru_cache(maxsize=1024)  # above C(12, 6) = 924, a decoder's column subsets at d <= 6
+@lru_cache(maxsize=1024)  # one modulus's 924 subsets at d <= 6; past that, bases rebuild
 def _lagrange_basis(m: int, xs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Inverse Vandermonde matrix at the distinct points xs mod prime m,
     one row per power of x, highest first."""

@@ -313,7 +313,7 @@ def test_decode_unpacks_each_color_once(monkeypatch):
         (spec((16, 16), True, 4), "color2"),
     ]:
         params = make_scheme(s, kind)
-        for seed in range(3):
+        for seed in range(20):
             walks.append((random_walk(params, s.t, s.t + 4, seed, 2), params))
     real = color_unpack
     calls = []
