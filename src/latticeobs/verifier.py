@@ -7,11 +7,12 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .colorer import SchemeParams, assign_color, color_walk
+# assign_color and apply_step go unused here; bench/layers.py counts calls
+# made through verifier.assign_color and verifier.apply_step, so both
+# names stay importable from this module.
+from .colorer import _ASSIGNERS, SchemeParams, assign_color, color_walk
 from .decoder import OK, WalkObservation, decode
 from .gfpoly import ceil_nth_root
-# apply_step goes unused here; bench/layers.py counts calls made through
-# verifier.apply_step, so the name stays importable from this module.
 from .lattice import (
     Edge,
     LatticeSpec,
@@ -82,15 +83,19 @@ def ambiguity_scan(
     exclude_single_edge drops walks that keep re-crossing one edge
     (undirected schemes leave those ambiguous by design).  color_fn
     overrides the scheme's assigner, e.g. to show a broken coloring
-    collides.
+    collides; it receives each edge as an Edge.
 
     The search runs on node ranks.  The first time it reaches a node it
     builds the node's successor list, one (next rank, edge id, color,
-    mark) per step that stays inside, and keeps it; so memory grows with
-    the edges of the nodes visited, and a budget refusal on a huge
+    1 << code) per step that stays inside, and keeps it; so memory grows
+    with the edges of the nodes visited, and a budget refusal on a huge
     lattice comes before more than a few nodes are built.  Each edge is
-    colored once, through color_fn.  End nodes are kept as ranks; rank
-    order is lexicographic order, so only reported ends are unranked.
+    colored once, by color_fn or else by the scheme's unchecked assigner
+    from the root and rank the search holds.  A walk's dimension is the
+    bit count of its code bitmask.  The budget is counted per expansion,
+    all successors at once, and still refuses exactly the scans of more
+    than budget walks.  End nodes are kept as ranks; rank order is
+    lexicographic order, so only reported ends are unranked.
     """
     if max_len > MAX_SCAN_LEN:
         raise ValueError(f"max_len={max_len} above the scan cap of {MAX_SCAN_LEN} steps")
@@ -100,16 +105,16 @@ def ambiguity_scan(
         raise ValueError(
             f"t_min={t_min} outside [1, {top}]: max_len={max_len}, {spec.codes} edge codes"
         )
-    if color_fn is None:
-        color_fn = lambda e: assign_color(e, params)
+    assign = _ASSIGNERS[params.kind]
+    if color_fn is not None:
+        assign = lambda root, _, code, __: color_fn(Edge(root, code))
     dims, n_codes = spec.dims, spec.codes
     moves = spec.step_table.values()
     colors: dict[int, int] = {}  # edge id -> color
     successors: dict[int, list] = {}
-    marks = [0] * (n_codes + 1)  # walk steps per orientation or axis
     ends: dict[tuple, int] = {}  # color sequence -> first end rank
     clashes: dict[tuple, set] = {}  # color sequence -> every end rank
-    scanned = distinct = 0
+    scanned = 0
 
     def build(r):
         u = unrank(r, spec)
@@ -123,40 +128,34 @@ def ambiguity_scan(
             edge = root_rank * n_codes + code - 1
             color = colors.get(edge)
             if color is None:
-                color = colors[edge] = color_fn(Edge(root, code))
-            # the mark, the step's orientation or axis, is the edge's code
-            out.append((nxt, edge, color, code))
+                color = colors[edge] = assign(root, root_rank, code, params)
+            out.append((nxt, edge, color, 1 << code))
         successors[r] = out
         return out
 
-    def extend(r, depth, seq, lone):
+    def extend(r, depth, seq, lone, used):
         # lone: the one edge the walk has kept to, None before its first
-        # step, -1 once it has used two
-        nonlocal scanned, distinct
+        # step, -1 once it has used two; used: the walk's code bits
+        nonlocal scanned
         succ = successors.get(r)
         if succ is None:
             succ = build(r)
-        for nxt, edge, color, mark in succ:
-            scanned += 1
-            if scanned > budget:
-                raise ValueError(f"scan exceeded budget of {budget} walks")
+        scanned += len(succ)
+        if scanned > budget:
+            raise ValueError(f"scan exceeded budget of {budget} walks")
+        for nxt, edge, color, bit in succ:
             walk = seq + (color,)
             one = edge if lone is None or lone == edge else -1
-            if not marks[mark]:
-                distinct += 1
-            marks[mark] += 1
-            if distinct >= t_min and not (exclude_single_edge and one >= 0):
+            mask = used | bit
+            if mask.bit_count() >= t_min and not (exclude_single_edge and one >= 0):
                 first = ends.setdefault(walk, nxt)
                 if first != nxt:
                     clashes.setdefault(walk, {first}).add(nxt)
             if depth < max_len:
-                extend(nxt, depth + 1, walk, one)
-            marks[mark] -= 1
-            if not marks[mark]:
-                distinct -= 1
+                extend(nxt, depth + 1, walk, one, mask)
 
     for r in range(spec.size):
-        extend(r, 1, (), None)
+        extend(r, 1, (), None, 0)
     collisions = tuple(
         sorted(
             (seq, tuple(unrank(e, spec) for e in sorted(ranks)))

@@ -73,4 +73,5 @@ def test_no_dead_imports():
         "latticeobs.colorer.unrank",
         "latticeobs.decoder.walk_nodes",
         "latticeobs.verifier.apply_step",
+        "latticeobs.verifier.assign_color",
     }

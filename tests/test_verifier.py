@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from latticeobs.colorer import assign_color, make_scheme, color_walk, palette_size
+from latticeobs.colorer import assign_color, lattice_edges, make_scheme, color_walk, palette_size
 from latticeobs.decoder import WalkObservation
 from latticeobs.lattice import Edge, LatticeSpec, Walk, apply_step, walk_dimension, walk_nodes
 from latticeobs.verifier import (
@@ -263,6 +263,57 @@ def test_ambiguity_scan_matches_reference_on_broken_coloring(directed, kind):
         color_fn=lambda e: (e.code + e.root[0]) % 3,
     )
     assert not report.ok
+
+
+@pytest.mark.parametrize("t_min", [1, 2, 3])
+def test_ambiguity_scan_matches_reference_color2(t_min):
+    params = make_scheme(spec((4, 4), True, 4), "color2")
+    _assert_scan_matches_reference(params, 3, t_min)
+
+
+@pytest.mark.parametrize("origin", [0, 1])
+@pytest.mark.parametrize("exclude", [False, True])
+def test_ambiguity_scan_matches_reference_mod3_aux(origin, exclude):
+    params = make_scheme(spec((3, 3), False, 1), "mod3-aux", origin_index=origin)
+    _assert_scan_matches_reference(params, 3, 1, exclude_single_edge=exclude)
+
+
+def test_ambiguity_scan_budget_is_exact():
+    """The budget is counted a node's successors at a time, yet a scan
+    of exactly budget walks passes and one walk more is refused."""
+    params = make_scheme(spec((4, 4), True, 2), "colord")
+    assert ambiguity_scan(params, max_len=3, t_min=2, budget=688).scanned == 688
+    with pytest.raises(ValueError, match=r"^scan exceeded budget of 687 walks$"):
+        ambiguity_scan(params, max_len=3, t_min=2, budget=687)
+
+
+def test_ambiguity_scan_never_calls_assign_color(monkeypatch):
+    """The scan's own edges fit by construction, so it colors them with
+    the scheme's unchecked assigner, not the validating assign_color.  A
+    given color_fn still receives each lattice edge once, as an Edge."""
+    params = make_scheme(spec((3, 4), True, 2), "colord")
+    broken = lambda e: (e.code + e.root[0]) % 3
+    expected = _reference_scan(params, 3, 2)
+    expected_broken = _reference_scan(params, 3, 1, color_fn=broken)
+
+    def refuse(*_):
+        raise AssertionError("assign_color called")
+
+    monkeypatch.setattr("latticeobs.colorer.assign_color", refuse)
+    monkeypatch.setattr("latticeobs.verifier.assign_color", refuse)
+    report = ambiguity_scan(params, 3, 2)
+    assert (report.scanned, report.collisions) == expected
+    seen = []
+
+    def record(e):
+        seen.append(e)
+        return broken(e)
+
+    report = ambiguity_scan(params, 3, 1, color_fn=record)
+    assert (report.scanned, report.collisions) == expected_broken
+    assert all(isinstance(e, Edge) for e in seen)
+    every_edge = {(u, c) for u, _, codes in lattice_edges(params.lattice) for c in codes}
+    assert sorted((tuple(e.root), e.code) for e in seen) == sorted(every_edge)
 
 
 def test_ambiguity_scan_budget_on_huge_lattice_is_immediate():
