@@ -1,7 +1,7 @@
 """Command-line front end.
 
     latticeobs color  --dims 4x4 --directed --t 4 --scheme colord --out c.txt
-    latticeobs decode --coloring c.txt --colors 7,12,3
+    latticeobs decode --coloring c.txt --colors 41,46,74,59,41,46
     latticeobs verify roundtrip --dims 5x5 --directed --t 4 --walks 1000 --seed 7
     latticeobs verify scan --dims 4x4 --directed --t 2 --max-len 8
     latticeobs verify oa --sigma 5 --t 2 --cols 4
@@ -60,7 +60,7 @@ def _make_params(args):
 
 def _default_length(spec: LatticeSpec) -> int:
     if spec.t == 1:
-        return max(1, min(min(spec.dims) - 1, 5))
+        return min(min(spec.dims) - 1, 5)
     return spec.t + 4
 
 

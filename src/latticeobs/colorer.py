@@ -14,7 +14,8 @@ parity into bits only for the t columns it reads and its anchor edge.
 
 Kinds:
   colord    directed lattices, any t up to 2d
-  color2    square directed 2-d lattices, t = 4, quotient/remainder blocks
+  color2    directed lattices, t = 2d; block 2 * axis + down holds a root
+            coordinate's quotient (up edge) or remainder (down edge)
   undir     undirected lattices, any t up to d
   mod3-aux  bare 3-coloring by distance to a reference corner (analysis aid)
 """
@@ -30,11 +31,6 @@ from .lattice import Edge, LatticeSpec, Walk, edge_endpoints, in_bounds, rank, u
 from .oarray import OASpec
 
 KINDS = ("colord", "color2", "undir", "mod3-aux")
-
-# color2 packs orientations into quotient/remainder blocks in this order:
-# x-quotient, x-remainder, y-quotient, y-remainder.
-_COLOR2_BLOCK_TO_CODE = (1, 3, 2, 4)
-_COLOR2_CODE_TO_BLOCK = {code: block for block, code in enumerate(_COLOR2_BLOCK_TO_CODE)}
 
 
 @dataclass(frozen=True)
@@ -74,11 +70,11 @@ def make_scheme(
         raise ValueError("origin index applies only to mod3-aux")
     d, t = spec.d, spec.t
     if kind == "color2":
-        if not spec.directed or d != 2 or spec.dims[0] != spec.dims[1] or t != 4:
-            raise ValueError("color2 needs a square directed 2-d lattice with t=4")
+        if not spec.directed or t != spec.codes:
+            raise ValueError(f"color2 needs a directed lattice with t={2 * d}")
         if sigma is not None:
             raise ValueError("color2 uses no field prime")
-        return SchemeParams(spec, kind, None, 4, ceil_nth_root(spec.dims[0], 2))
+        return SchemeParams(spec, kind, None, spec.codes, ceil_nth_root(max(spec.dims), 2))
     if kind == "mod3-aux":
         if spec.directed:
             raise ValueError("mod3-aux colors undirected lattices")
@@ -152,17 +148,18 @@ def oa_assign(root, r: int, code: int, params: SchemeParams) -> int:
 
 
 def color2_assign(root, r: int, code: int, params: SchemeParams) -> int:
-    """Square directed 2-d scheme with palette 4 * ceil(sqrt(n)).
+    """Directed scheme for t = 2d with palette 2d * ceil(sqrt(max n_j)).
 
-    The root's x splits as quotient/remainder by group_size =
-    ceil(sqrt(n)); the 1-up edge stores the quotient, the 1-down edge
-    the remainder, and the axis-2 edges do the same for y.  The rank r
-    goes unused.
+    Code j is axis j up and code d + j axis j down, and block
+    2 * axis + down holds one direction of one axis.  The root's
+    coordinate on that axis splits as quotient/remainder by group_size =
+    ceil(sqrt(max n_j)): the up edge stores the quotient, the down edge
+    the remainder.  The rank r goes unused.
     """
     size = params.group_size
-    block = _COLOR2_CODE_TO_BLOCK[code]
-    quotient, remainder = divmod(root[(code - 1) % 2], size)
-    return block * size + (remainder if block % 2 else quotient)
+    down, axis = divmod(code - 1, len(root))
+    quotient, remainder = divmod(root[axis], size)
+    return (2 * axis + down) * size + (remainder if down else quotient)
 
 
 def mod3_assign(root, r: int, code: int, params: SchemeParams) -> int:
@@ -204,7 +201,8 @@ def color_unpack(c: int, params: SchemeParams) -> tuple:
         raise ValueError(f"color {c} outside palette of {palette_size(params)}")
     if params.kind == "color2":
         block, value = divmod(c, params.group_size)
-        return _COLOR2_BLOCK_TO_CODE[block], value, 0, ()
+        axis, down = divmod(block, 2)
+        return axis + 1 + down * params.lattice.d, value, 0, ()
     if params.kind == "mod3-aux":
         return None, c, 0, ()
     t = params.lattice.t

@@ -16,7 +16,8 @@ decodable scheme, in five stages:
 
 Only `locate` depends on the scheme kind: colord and undir solve the
 minimum's orthogonal-array row from color-value differences, color2
-reads a coordinate's quotient and remainder off an up/down edge pair.
+reads each coordinate's quotient and remainder off an up/down edge pair
+of its axis.
 Anything inconsistent comes back with status "invalid"; an undirected
 sequence whose traversal directions are genuinely underdetermined comes
 back "ambiguous".  Reports never guess.
@@ -174,24 +175,23 @@ def _locate_oa(params, parts, signs, offsets, root_idx) -> tuple:
 
 
 def _locate_color2(params, parts, signs, offsets, root_idx) -> tuple:
-    """Start node of a color2 walk on a square.
+    """Start node of a color2 walk, one coordinate per axis.
 
     Each axis needs one up/down alternation among its parallel edges;
     the two edges cross the same level, so the up edge's color holds
     that coordinate's quotient and the down edge's its remainder.
     """
-    r = params.group_size
+    r, d = params.group_size, params.lattice.d
     start = []
-    for axis in (0, 1):
+    for axis in range(d):
+        # decode demands all t = 2d codes, so every axis alternates
         prev = None
         for pos, (code, _, _, _) in enumerate(parts):
-            if (code - 1) % 2 != axis:
+            if (code - 1) % d != axis:
                 continue
             if prev is not None and signs[pos] != signs[prev]:
                 break
             prev = pos
-        else:
-            raise ObservationError(f"no up/down pairing on axis {axis + 1}")
         upos, dpos = (prev, pos) if signs[prev] > 0 else (pos, prev)
         coord = parts[upos][1] * r + parts[dpos][1]
         # the up edge's root is its tail: walk node upos

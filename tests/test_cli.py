@@ -138,6 +138,22 @@ def test_decode_ok(tmp_path, capsys):
     assert stdout.strip() == "status=ok root=0,0 current=1,1"
 
 
+def test_color2_on_a_cube_writes_and_decodes(tmp_path, capsys):
+    "color2 takes any directed lattice at t = 2d, here 4x4x4 at t = 6."
+    coloring = make_coloring(
+        tmp_path, "--dims", "4x4x4", "--directed", "--t", "6", "--scheme", "color2"
+    )
+    lines = coloring.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "#dims=4x4x4 directed=1 t=6 sigma=0 scheme=color2"
+    assert len(lines) - 1 == 288
+    capsys.readouterr()
+    code, stdout, _ = run(
+        capsys, "decode", "--coloring", str(coloring), "--colors", "0,5,8,3,6,10,0"
+    )
+    assert code == 0
+    assert stdout.strip() == "status=ok root=1,2,0 current=2,2,0"
+
+
 def test_decode_ambiguous_exits_3(tmp_path, capsys):
     coloring = make_coloring(
         tmp_path, "--dims", "4x4", "--t", "2", "--scheme", "undir"
@@ -234,6 +250,19 @@ def test_verify_roundtrip_ok(capsys):
     assert stdout.strip().endswith("ok=10/10")
 
 
+def test_verify_roundtrip_t1_default_length(capsys):
+    "At t = 1 the default walk length is min(shortest axis - 1, 5)."
+    code, stdout, _ = run(
+        capsys, "verify", "roundtrip", "--dims", "3x5", "--directed",
+        "--t", "1", "--walks", "20",
+    )
+    assert code == 0
+    assert stdout.splitlines() == [
+        "roundtrip scheme=colord dims=3x5 t=1 walks=20 length=2 seed=0",
+        "ok=20/20",
+    ]
+
+
 def test_verify_roundtrip_undirected_default_scheme(capsys):
     code, stdout, _ = run(
         capsys, "verify", "roundtrip", "--dims", "4x4", "--t", "2",
@@ -308,6 +337,15 @@ def test_verify_bound_matches_documented_example(capsys):
     code, stdout, _ = run(capsys, "verify", "bound", "--dims", "16x16", "--t", "4")
     assert code == 0
     assert stdout.strip() == "lower=3 palette=320"
+
+
+def test_verify_bound_color2_on_a_cube(capsys):
+    "Full-dimensional walks on 9x9x9: 2d * ceil(sqrt(9)) = 18 colors."
+    code, stdout, _ = run(
+        capsys, "verify", "bound", "--dims", "9x9x9", "--t", "6", "--scheme", "color2"
+    )
+    assert code == 0
+    assert stdout.strip() == "lower=3 palette=18"
 
 
 def test_verify_bound_undirected(capsys):

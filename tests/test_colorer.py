@@ -83,10 +83,18 @@ def test_make_scheme_kind_checks():
         make_scheme(spec((4, 4), True, 2), "undir")
     with pytest.raises(ValueError):
         make_scheme(spec((4, 4), True, 2), "color2")  # needs t=4
-    with pytest.raises(ValueError):
-        make_scheme(spec((4, 6), True, 4), "color2")  # needs square
+    # rectangular lattices take color2; r = ceil(sqrt(max n_j)) = 3
+    assert palette_size(make_scheme(spec((4, 6), True, 4), "color2")) == 12
+    with pytest.raises(ValueError, match="color2 needs a directed lattice with t=4"):
+        make_scheme(spec((4, 4), False, 2), "color2")
+    with pytest.raises(ValueError, match="color2 uses no field prime"):
+        make_scheme(spec((4, 4), True, 4), "color2", sigma=5)
     with pytest.raises(ValueError):
         make_scheme(spec((4, 4), False, 2), "mod3-aux", origin_index=3)
+    with pytest.raises(ValueError, match="mod3-aux colors undirected lattices"):
+        make_scheme(spec((4, 4), True, 2), "mod3-aux")
+    with pytest.raises(ValueError, match="mod3-aux uses no field prime"):
+        make_scheme(spec((4, 4), False, 2), "mod3-aux", sigma=5)
     with pytest.raises(ValueError):
         make_scheme(spec((4, 4), True, 2), "rainbow")
 
@@ -153,6 +161,32 @@ def test_color2_frozen_values():
     assert assign_color(Edge(u, 2), params) == 8  # y quotient + 2r
     assert assign_color(Edge(u, 4), params) == 15  # y remainder + 3r
     assert color_unpack(7, params) == (3, 3, 0, ())
+
+
+COLOR2_SHAPES = [(2,), (7,), (4, 6), (3, 2, 2), (4, 4, 4), (2, 3, 2, 2)]
+
+
+@pytest.mark.parametrize("dims", COLOR2_SHAPES, ids=str)
+def test_color2_layout_follows_step_codes(dims):
+    """Block 2 * axis + down holds one direction of one axis: the up
+    edge stores the root coordinate's quotient by r, the down edge its
+    remainder.  Every palette color unpacks to the code that layout
+    names, and every edge color unpacks to the edge's own code."""
+    s = spec(dims, True, 2 * len(dims))
+    params = make_scheme(s, "color2")
+    r = params.group_size
+    assert r * r >= max(dims) > (r - 1) ** 2
+    assert palette_size(params) == 2 * s.d * r
+    for code, (axis, sign, _, _) in s.step_table.items():
+        block = 2 * axis + (sign < 0)
+        for value in range(r):
+            assert color_unpack(block * r + value, params) == (code, value, 0, ())
+    for edge in _edges(s):
+        axis, sign, _, _ = s.step_table[edge.code]
+        quotient, remainder = divmod(edge.root[axis], r)
+        c = assign_color(edge, params)
+        assert c == (2 * axis + (sign < 0)) * r + (quotient if sign > 0 else remainder)
+        assert color_unpack(c, params)[0] == edge.code
 
 
 def test_undir_frozen_values():
@@ -396,6 +430,7 @@ def _export_schemes(rng):
             out.append(make_scheme(s, "undir"))
             out += [make_scheme(s, "mod3-aux", origin_index=q) for q in range(d + 1)]
     out += [make_scheme(spec((n, n), True, 4), "color2") for n in (2, 3, 5, 7)]
+    out += [make_scheme(spec(dims, True, 2 * len(dims)), "color2") for dims in shapes]
     return out
 
 
@@ -525,6 +560,8 @@ def test_parse_header_rejects_malformed():
         parse_header("#dims=4x4 directed=1 t=2 sigma=6 scheme=colord")
     with pytest.raises(ValueError):
         parse_header("#dims=x4 directed=1 t=2 sigma=5 scheme=colord")
+    with pytest.raises(ValueError, match="header sigma 0 does not match scheme colord"):
+        parse_header("#dims=4x4 directed=1 t=2 sigma=0 scheme=colord")
 
 
 def _reference_oa_color(root, r, code, params):

@@ -202,6 +202,9 @@ def test_recover_signs_frozen():
     assert recover_signs(observe(Walk((0, 0), (1, 1)), params)) == [1, 1]
     obs = observe(Walk((0, 0), (1, 2, -2, -1)), params)
     assert recover_signs(obs) == [1, 1, -1, -1]
+    colord = make_scheme(spec((4, 4), True, 2), "colord")
+    with pytest.raises(ValueError, match="sign recovery reads undir scheme digits"):
+        recover_signs(observe(Walk((0, 0), (1, 2)), colord))
 
 
 def test_recover_signs_oscillation_is_ambiguous():

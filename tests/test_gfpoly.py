@@ -185,6 +185,11 @@ def test_ceil_nth_root_frozen(value, k, expected):
     assert ceil_nth_root(value, k) == expected
 
 
+def test_ceil_nth_root_rejects_degree_zero():
+    with pytest.raises(ValueError, match="root degree must be >= 1"):
+        ceil_nth_root(8, 0)
+
+
 @given(st.integers(1, 10**9), st.integers(1, 8))
 def test_ceil_nth_root_is_minimal(value, k):
     c = ceil_nth_root(value, k)
@@ -261,6 +266,9 @@ def test_base_digits_range_checked():
         base_digits(25, 2, P5)
     with pytest.raises(ValueError):
         base_digits(-1, 2, P5)
+    # the inverse codec checks each coefficient the same way
+    with pytest.raises(ValueError, match=r"coefficient 5 outside \[0, 5\)"):
+        coeffs_to_index((5,), P5)
 
 
 def test_interpolate_frozen():

@@ -82,6 +82,8 @@ def test_row_from_projection_validation():
         oa_row_from_projection((1, 1), (0, 0), S524)  # duplicates
     with pytest.raises(ValueError):
         oa_row_from_projection((1,), (0,), S524)  # wrong arity
+    with pytest.raises(ValueError, match="need 2 values"):
+        oa_row_from_projection((1, 2), (0,), S524)
     with pytest.raises(ValueError):
         oa_row_from_projection((1, 5), (0, 0), S524)  # column range
     with pytest.raises(ValueError):

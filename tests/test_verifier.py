@@ -271,6 +271,13 @@ def test_ambiguity_scan_matches_reference_color2(t_min):
     _assert_scan_matches_reference(params, 3, t_min)
 
 
+@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 2)])
+def test_ambiguity_scan_matches_reference_color2_3d(dims):
+    "Every full-dimensional walk of up to 6 steps ends where its colors say."
+    params = make_scheme(spec(dims, True, 6), "color2")
+    assert _assert_scan_matches_reference(params, 6, 6).ok
+
+
 @pytest.mark.parametrize("origin", [0, 1])
 @pytest.mark.parametrize("exclude", [False, True])
 def test_ambiguity_scan_matches_reference_mod3_aux(origin, exclude):
@@ -446,6 +453,27 @@ def test_roundtrip_campaign_on_huge_lattices(dims, directed, t, kind, sigma):
     assert (report.ok, report.total) == (40, 40)
 
 
+@pytest.mark.parametrize(
+    "dims,palette",
+    [
+        ((4, 6), 12),
+        ((4, 4, 4), 12),
+        ((5, 3, 4), 18),
+        ((3, 3, 3, 3), 16),
+        ((7,), 6),
+        ((10**9,) * 3, 189_738),
+    ],
+    ids=str,
+)
+def test_color2_roundtrip_at_full_dimension(dims, palette):
+    "color2 on any directed lattice at t = 2d: palette 2d * ceil(sqrt(max n_j))."
+    t = 2 * len(dims)
+    params = make_scheme(spec(dims, True, t), "color2")
+    assert palette_size(params) == palette
+    report = roundtrip_campaign(params, t=t, n_walks=300, length=t + 4, seed=5)
+    assert (report.ok, report.total) == (300, 300)
+
+
 def test_campaign_lines_are_reproducible():
     params = make_scheme(spec((4, 4), False, 2), "undir")
     runs = [
@@ -464,6 +492,19 @@ def test_campaign_failure_lines():
     assert lines[0] == "roundtrip scheme=x"
     assert lines[1] == "fail walk=0 start=(0, 0) steps=(1, 2) status=invalid"
     assert lines[2] == "ok=1/2"
+    # a real campaign: walks of dimension 1 under a t=2 scheme cannot decode
+    params = make_scheme(spec((5, 5), True, 2), "colord")
+    report = roundtrip_campaign(params, t=1, n_walks=3, length=3, seed=0)
+    assert (report.ok, report.total) == (0, 3)
+    assert [f[0] for f in report.failures] == [0, 1, 2]
+    lines = report.lines().splitlines()
+    assert lines[0] == "roundtrip scheme=colord dims=5x5 t=1 walks=3 length=3 seed=0"
+    assert lines[1:] == [
+        "fail walk=0 start=(4, 3) steps=(3, 3, 3) status=invalid",
+        "fail walk=1 start=(4, 0) steps=(2, 2, 2) status=invalid",
+        "fail walk=2 start=(0, 0) steps=(1, 1, 1) status=invalid",
+        "ok=0/3",
+    ]
 
 
 def test_lower_bound_never_exceeds_palette():
