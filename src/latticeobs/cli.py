@@ -16,7 +16,6 @@ import contextlib
 import functools
 import os
 import sys
-import tempfile
 from itertools import islice
 
 from .colorer import (
@@ -36,16 +35,16 @@ DIRECTED_KINDS = ("colord", "color2")
 
 
 def _parse_dims(args) -> tuple[int, ...]:
-    if args.dims and (args.n or args.d):
+    if args.dims and (args.n, args.d) != (None, None):
         raise ValueError("give either --dims or --n/--d, not both")
     if args.dims:
         try:
             return tuple(int(part) for part in args.dims.split("x"))
         except ValueError:
             raise ValueError(f"bad --dims {args.dims!r}; expected like 4x6x5") from None
-    if args.n and args.d:
-        return (args.n,) * args.d
-    raise ValueError("lattice shape required: --dims n1xn2x... or --n N --d D")
+    if None in (args.n, args.d):
+        raise ValueError("lattice shape required: --dims n1xn2x... or --n N --d D")
+    return (args.n,) * args.d
 
 
 def _make_params(args):
@@ -75,9 +74,11 @@ def _newline_chunks(lines):
 
 def _write_atomic(path: str, lines) -> None:
     target = os.path.abspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".latticeobs-")
+    tmp = os.path.join(os.path.dirname(target), f".latticeobs-{os.urandom(8).hex()}")
+    # "x" never takes an existing name; the mode is 0o666 less the umask, as open() gives
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+        with fh:
             fh.writelines(_newline_chunks(lines))
         os.replace(tmp, target)
     except BaseException:

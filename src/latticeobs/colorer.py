@@ -22,7 +22,6 @@ Kinds:
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 from .gfpoly import FieldPrime, ceil_nth_root, next_prime_above
 # unrank goes unused here; bench/layers.py counts calls made through
@@ -255,23 +254,25 @@ def color_walk(w: Walk, params: SchemeParams) -> tuple[int, ...]:
     return tuple(colors)
 
 
-def lattice_edges(spec: LatticeSpec):
-    """Every node u in rank order, as (u, rank, codes): the codes of the
-    edges u roots, ascending.  Each of those edges fits the lattice.
+def _prefixes(dims):
+    """Every point of the box dims in lexicographic order, stepped one
+    axis at a time, so no axis is materialized as itertools.product does."""
+    if not dims:
+        return [()]
+    return ((*head, x) for head in _prefixes(dims[:-1]) for x in range(dims[-1]))
 
-    Along a run of the last axis only the run's top node loses codes
-    (those of the last axis), so each run builds two code lists and its
-    roots share them; callers must not mutate them."""
-    dims = spec.dims
-    last = spec.d - 1
-    top = dims[last] - 1
+
+def _runs(spec: LatticeSpec):
+    """Every run of the last axis in rank order, as (prefix, head, inner,
+    top): the run's other coordinates, those formatted as "x1,x2,", and
+    the ascending codes of the fitting edges rooted at its interior roots
+    and at its top root.  Callers must not mutate the code lists."""
+    dims, last = spec.dims, spec.d - 1
     columns = [(c, (c - 1) % spec.d) for c in range(1, spec.codes + 1)]
-    for r, u in enumerate(product(*map(range, dims))):
-        x = u[last]
-        if not x:
-            inner = [c for c, axis in columns if axis == last or u[axis] + 1 < dims[axis]]
-            face = [c for c in inner if (c - 1) % spec.d != last]
-        yield u, r, inner if x < top else face
+    for prefix in _prefixes(dims[:-1]):
+        inner = [c for c, axis in columns if axis == last or prefix[axis] + 1 < dims[axis]]
+        top = [c for c in inner if (c - 1) % spec.d != last]
+        yield prefix, "".join(f"{x}," for x in prefix), inner, top
 
 
 def format_header(params: SchemeParams) -> str:
@@ -285,43 +286,41 @@ def coloring_lines(params: SchemeParams):
     """The export format: a header line, then one `coords code color`
     line per edge in (root rank, code) order.
 
-    lattice_edges yields only edges that fit, so none is validated
-    again.  The orthogonal-array kinds step an odometer with the rank:
-    between carries only the last coefficient k = r mod sigma moves, and
-    each step adds 1 mod sigma to every array entry and flips the last
-    parity bit, so a root's entries are those of its row at k = 0, plus
-    k.  Only a carry, once per sigma roots, colors the row again with
-    oa_assign, whose group holds the row's parities.  Distance digits
-    repeat with period 3 along the last axis, so three roots per run of
-    that axis compute them."""
+    The lattice is walked one run of the last axis at a time (_runs); a
+    run formats its prefix and lists the codes that fit once, so no edge
+    is validated again.  The orthogonal-array kinds step an odometer
+    with the rank: between carries only the last coefficient k = r mod
+    sigma moves, and each step adds 1 mod sigma to every array entry and
+    flips the last parity bit, so a root's entries are those of its row
+    at k = 0, plus k.  Only a carry, once per sigma roots, colors the
+    row again with oa_assign, whose group holds the row's parities.
+    Distance digits repeat with period 3 along the last axis, so each
+    run computes them for its three residues."""
     yield format_header(params)
     spec = params.lattice
-    p = params.sigma
-    if not p:
+    n, p = spec.dims[-1], params.sigma
+    if not p:  # color2 and mod3-aux read no rank
         assign = _ASSIGNERS[params.kind]
-        for root, r, codes in lattice_edges(spec):
-            coords = ",".join(map(str, root))
-            for c in codes:
-                yield f"{coords} {c} {assign(root, r, c, params)}"
+        for prefix, head, inner, top in _runs(spec):
+            for x in range(n):
+                root = (*prefix, x)
+                for c in inner if x < n - 1 else top:
+                    yield f"{head}{x} {c} {assign(root, None, c, params)}"
         return
-    m, t, size = p.modulus, spec.t, params.group_size
-    columns = range(1, spec.codes + 1)
-    blocks = [0] + [(c - 1) * m for c in columns]  # indexed by code
-    runs = range(min(3, spec.dims[-1]))
-    distance = [0, 0, 0]
-    for root, r, codes in lattice_edges(spec):
-        k = r % m
-        if not k:
-            row = [oa_assign(root, r, c, params) for c in columns]
-            entries = [0] + [color % m for color in row]
-            parity = row[0] // size & (1 << t) - 1
-        x = root[-1]
-        if not x and not spec.directed:
-            distance = [_distance_group(root[:-1] + (y,), spec) for y in runs]
-        base = (parity | k & 1 | distance[x % 3]) * size
-        coords = ",".join(map(str, root))
-        for c in codes:
-            yield f"{coords} {c} {base + blocks[c] + (entries[c] + k) % m}"
+    m, size = p.modulus, params.group_size
+    blocks = [0] + [c * m for c in range(spec.codes)]  # indexed by code
+    for q, (prefix, head, inner, top) in enumerate(_runs(spec)):
+        distance = [0 if spec.directed else _distance_group((*prefix, y), spec) for y in range(3)]
+        for x, r in enumerate(range(q * n, q * n + n)):
+            k = r % m
+            if not k:
+                row = [oa_assign((*prefix, x), r, c, params) for c in range(1, spec.codes + 1)]
+                entries = [0] + [color % m for color in row]
+                parity = row[0] // size & (1 << spec.t) - 1
+            base = (parity | k & 1 | distance[x % 3]) * size
+            tag = f"{head}{x} "
+            for c in inner if x < n - 1 else top:
+                yield f"{tag}{c} {base + blocks[c] + (entries[c] + k) % m}"
 
 
 def parse_header(line: str) -> SchemeParams:

@@ -31,7 +31,7 @@ class LatticeSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "dims", tuple(self.dims))
         if not self.dims or any(n < 2 for n in self.dims):
-            raise ValueError("every axis needs length >= 2")
+            raise ValueError(f"dims {self.dims}: need at least one axis, each of length >= 2")
         if not 1 <= self.t <= self.codes:
             raise ValueError(f"t must be in [1, {self.codes}] for this lattice")
 

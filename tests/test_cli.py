@@ -1,6 +1,7 @@
 """Command-line interface: outputs, files, exit codes."""
 
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -88,6 +89,32 @@ def test_interrupted_write_removes_temp_file(tmp_path):
         cli._write_atomic(str(out), lines())
     assert out.read_bytes() == b"old\n"
     assert list(tmp_path.iterdir()) == [out]
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_color_file_mode_follows_umask(tmp_path, capsys, umask, mode):
+    "The coloring file is 0o666 less the umask, as for any file open() creates."
+    out = tmp_path / "c.txt"
+    old = os.umask(umask)
+    try:
+        code = main(["color", "--dims", "3x3", "--t", "2", "--out", str(out)])
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert stat.S_IMODE(out.stat().st_mode) == mode
+
+
+def test_color_never_takes_over_an_existing_temp_name(tmp_path, capsys, monkeypatch):
+    "A temp name that already exists is refused (exit 1), and that file is left alone."
+    taken = tmp_path / f".latticeobs-{bytes(8).hex()}"
+    taken.write_bytes(b"someone else's\n")
+    monkeypatch.setattr(os, "urandom", bytes)
+    out = tmp_path / "c.txt"
+    code, _, err = run(capsys, "color", "--dims", "3x3", "--t", "2", "--out", str(out))
+    assert code == 1
+    assert "File exists" in err
+    assert taken.read_bytes() == b"someone else's\n"
+    assert list(tmp_path.iterdir()) == [taken]
 
 
 def test_color_output_is_byte_identical_across_runs(tmp_path, capsys):
@@ -227,12 +254,32 @@ def test_decode_aux_coloring_exits_2(tmp_path, capsys):
         ("color", "--dims", "4x4", "--directed", "--t", "2", "--origin-index", "3", "--out", "x"),
         ("verify", "scan", "--dims", "3x3", "--directed", "--t", "2", "--max-len", "5000"),
         ("verify", "scan", "--dims", "2", "--t", "1", "--max-len", "2000", "--budget", "100000"),
+        ("color", "--dims", "4x4", "--n", "0", "--t", "2", "--out", "x"),
+        ("color", "--n", "0", "--d", "2", "--t", "2", "--out", "x"),
+        ("color", "--n", "5", "--d", "0", "--t", "2", "--out", "x"),
     ],
 )
 def test_parameter_errors_exit_2(argv, capsys):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "shape,message",
+    [
+        (("--dims", "4x4", "--n", "0"), "give either --dims or --n/--d, not both"),
+        (("--dims", "4x4", "--d", "0"), "give either --dims or --n/--d, not both"),
+        (("--n", "0", "--d", "2"), "dims (0, 0): need at least one axis, each of length >= 2"),
+        (("--n", "5", "--d", "0"), "dims (): need at least one axis, each of length >= 2"),
+        (("--n", "5"), "lattice shape required"),
+    ],
+)
+def test_cube_shorthand_errors_name_the_value(shape, message, capsys):
+    "--n and --d are tested for presence, not truth, so a zero is named as the bad value."
+    code, _, err = run(capsys, "verify", "bound", "--t", "1", *shape)
+    assert code == 2
+    assert message in err
 
 
 def test_unknown_flag_is_argparse_error():

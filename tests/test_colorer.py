@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -14,7 +15,6 @@ from latticeobs.colorer import (
     coloring_lines,
     default_sigma,
     format_header,
-    lattice_edges,
     make_scheme,
     oa_assign,
     palette_size,
@@ -41,8 +41,18 @@ def distance_digits(u, s):
 
 
 def _edges(s):
-    "Every edge of s, flattened from lattice_edges' per-root codes."
-    return [Edge(u, c) for u, _, codes in lattice_edges(s) for c in codes]
+    """Every edge of s in (root rank, code) order: each (node, code)
+    that edge_endpoints accepts."""
+    out = []
+    for r in range(s.size):
+        for c in range(1, s.codes + 1):
+            edge = Edge(unrank(r, s), c)
+            try:
+                edge_endpoints(edge, s)
+            except ValueError:
+                continue
+            out.append(edge)
+    return out
 
 
 # field prime per configuration, frozen from the sizing rule
@@ -431,6 +441,10 @@ def _export_schemes(rng):
             out += [make_scheme(s, "mod3-aux", origin_index=q) for q in range(d + 1)]
     out += [make_scheme(spec((n, n), True, 4), "color2") for n in (2, 3, 5, 7)]
     out += [make_scheme(spec(dims, True, 2 * len(dims)), "color2") for dims in shapes]
+    # t = 2 shapes whose rank counter carries inside a run of the last
+    # axis, on a run's top root, and on a d = 1 lattice
+    out += [make_scheme(spec(dims, True, 2), "colord") for dims in ((13,), (3, 14), (2, 6), (2, 12))]
+    out += [make_scheme(spec(dims, False, 2), "undir") for dims in ((14, 3), (3, 14))]
     return out
 
 
@@ -450,6 +464,22 @@ def test_export_lines_match_assign_color():
             assert int(color) == assign_color(edge, params), (lines[0], line)
             keys.append((rank(edge.root, s), edge.code))
         assert keys == sorted(set(keys)), lines[0]
+
+
+@pytest.mark.parametrize("dims", [(2, 10**6), (10**6, 2), (10**9,) * 3])
+@pytest.mark.parametrize("directed,kind", [(True, "colord"), (False, "undir")])
+def test_export_streams_without_materializing_an_axis(dims, directed, kind):
+    """The first 1,001 lines of a huge export take well under 1 MiB: the
+    lattice is walked run by run, and no axis is ever built whole."""
+    params = make_scheme(spec(dims, directed, 2), kind)
+    tracemalloc.start()
+    try:
+        lines = list(itertools.islice(coloring_lines(params), 1001))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(lines) == 1001
+    assert peak < 2**20, peak
 
 
 # dims, directed, t, kind, sigma (None: the default): export configs

@@ -6,9 +6,11 @@ import time
 
 import pytest
 
-from latticeobs.colorer import assign_color, lattice_edges, make_scheme, color_walk, palette_size
+from latticeobs.colorer import assign_color, make_scheme, color_walk, palette_size
 from latticeobs.decoder import WalkObservation
-from latticeobs.lattice import Edge, LatticeSpec, Walk, apply_step, walk_dimension, walk_nodes
+from latticeobs.lattice import (
+    Edge, LatticeSpec, Walk, apply_step, edge_endpoints, unrank, walk_dimension, walk_nodes,
+)
 from latticeobs.verifier import (
     MAX_SCAN_LEN,
     CampaignReport,
@@ -23,6 +25,18 @@ from latticeobs.verifier import (
 
 def spec(dims, directed, t):
     return LatticeSpec(tuple(dims), directed, t)
+
+
+def every_edge(s):
+    """Every (node, code) of s in rank order that edge_endpoints accepts."""
+    out = []
+    for r in range(s.size):
+        for c in range(1, s.codes + 1):
+            try:
+                out.append((edge_endpoints(Edge(unrank(r, s), c), s)[0], c))
+            except ValueError:
+                pass
+    return out
 
 
 def coordinate_edges(w, s):
@@ -319,8 +333,7 @@ def test_ambiguity_scan_never_calls_assign_color(monkeypatch):
     report = ambiguity_scan(params, 3, 1, color_fn=record)
     assert (report.scanned, report.collisions) == expected_broken
     assert all(isinstance(e, Edge) for e in seen)
-    every_edge = {(u, c) for u, _, codes in lattice_edges(params.lattice) for c in codes}
-    assert sorted((tuple(e.root), e.code) for e in seen) == sorted(every_edge)
+    assert sorted((tuple(e.root), e.code) for e in seen) == every_edge(params.lattice)
 
 
 def test_ambiguity_scan_budget_on_huge_lattice_is_immediate():
