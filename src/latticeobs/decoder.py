@@ -18,9 +18,12 @@ Only `locate` depends on the scheme kind: colord and undir solve the
 minimum's orthogonal-array row from color-value differences, color2
 reads each coordinate's quotient and remainder off an up/down edge pair
 of its axis.
-Anything inconsistent comes back with status "invalid"; an undirected
-sequence whose traversal directions are genuinely underdetermined comes
-back "ambiguous".  Reports never guess.
+Anything inconsistent comes back with status "invalid".  An undirected
+sequence whose distance digits cannot tell its traversal directions
+apart (every stream constant, see recover_signs) comes back
+"ambiguous"; that is decided before the dimension check and before any
+placement, so it does not mean that two walks fit, and many such
+sequences fit none.  Reports never guess.
 """
 
 from dataclasses import dataclass
@@ -43,7 +46,10 @@ class ObservationError(ValueError):
 
 
 class AmbiguousObservation(ObservationError):
-    """More than one walk fits the color sequence."""
+    """Sign recovery found every distance stream constant, so the
+    digits leave the steps' directions open.  Raised before the
+    dimension check and before any placement: the colors may fit two
+    walks, one, or none."""
 
 
 @dataclass(frozen=True)

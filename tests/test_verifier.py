@@ -2,7 +2,9 @@
 
 import hashlib
 import itertools
+import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -306,6 +308,75 @@ def test_ambiguity_scan_budget_is_exact():
     assert ambiguity_scan(params, max_len=3, t_min=2, budget=688).scanned == 688
     with pytest.raises(ValueError, match=r"^scan exceeded budget of 687 walks$"):
         ambiguity_scan(params, max_len=3, t_min=2, budget=687)
+
+
+@pytest.mark.parametrize("max_len,walks", [(1, 34), (2, 136), (3, 444), (4, 1378)])
+def test_ambiguity_scan_budget_is_exact_at_every_depth(max_len, walks):
+    """The last step is counted with its parent's expansion, the steps
+    before it one call each; either way a budget of exactly the walk
+    count passes and one less is refused."""
+    params = make_scheme(spec((3, 4), True, 2), "colord")
+    assert ambiguity_scan(params, max_len, 1, budget=walks).scanned == walks
+    with pytest.raises(ValueError, match=rf"^scan exceeded budget of {walks - 1} walks$"):
+        ambiguity_scan(params, max_len, 1, budget=walks - 1)
+
+
+def _seeded_coloring(s, seed, palette):
+    "A color_fn drawing each edge's color from palette, seeded per edge."
+    rng = random.Random(seed)
+    table = {edge: rng.choice(palette) for edge in every_edge(s)}
+    return lambda e: table[tuple(e.root), e.code]
+
+
+@pytest.mark.parametrize(
+    "dims,directed,kind", [((3, 3), True, "colord"), ((3, 4), True, "colord"), ((3, 3), False, "undir")]
+)
+@pytest.mark.parametrize("exclude", [False, True])
+@pytest.mark.parametrize(
+    "palette",
+    [(0, 1, 2), (-7, 2**64 + 1, -(2**80), 3)],
+    ids=["small", "negative-and-wide"],
+)
+def test_ambiguity_scan_matches_reference_on_seeded_colorings(dims, directed, kind, exclude, palette):
+    """Random colorings over a few colors collide in many places; the
+    scan's coded sequences decode to the same collisions as the plain
+    enumeration.  Colors that are negative or wider than 64 bits are
+    told apart by their dense ids, never by their values."""
+    params = make_scheme(spec(dims, directed, 2), kind)
+    t_max = params.lattice.codes
+    for seed in range(4):
+        color_fn = _seeded_coloring(params.lattice, seed, palette)
+        max_len = 3 + seed % 2
+        t_min = 1 + seed % min(t_max, 3)
+        report = _assert_scan_matches_reference(
+            params, max_len, t_min, exclude_single_edge=exclude, color_fn=color_fn
+        )
+        assert not report.ok
+        assert {c for seq, _ in report.collisions for c in seq} <= set(palette)
+
+
+def test_ambiguity_scan_decodes_long_sequences():
+    """The two-node path at the scan cap: every sequence of one color,
+    64 digits long at most, reaches both nodes and decodes back whole."""
+    params = make_scheme(spec((2,), True, 1), "colord")
+    report = ambiguity_scan(params, max_len=64, t_min=1, color_fn=lambda e: 0)
+    assert report.scanned == 128
+    assert report.collisions == tuple(((0,) * n, ((0,), (1,))) for n in range(1, 65))
+
+
+def test_ambiguity_scan_memory_guard():
+    """Sequences are keyed by one int each, not a tuple of colors: the
+    77,200-walk scan of colord 4x4 at max_len=7 peaks at about 5.2 MiB
+    traced (9.3 MiB with tuple keys)."""
+    params = make_scheme(spec((4, 4), True, 2), "colord")
+    tracemalloc.start()
+    try:
+        report = ambiguity_scan(params, max_len=7, t_min=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.scanned == 77_200
+    assert peak <= 7 * 2**20
 
 
 def test_ambiguity_scan_never_calls_assign_color(monkeypatch):
