@@ -160,6 +160,21 @@ def poly_eval(coeffs: Sequence[int], x: int, p: FieldPrime) -> int:
     return acc
 
 
+def poly_column(x: int, t: int, p: FieldPrime) -> list[int]:
+    """poly_eval(base_digits(i, t, p), x, p) for every index i in
+    [0, modulus^t), in index order.
+
+    Horner's rule one coefficient at a time across all indices: after k
+    passes the list holds modulus^k entries, entry i being the value at
+    x of the k-digit coefficient vector of i.  The next pass extends
+    each entry by every next digit in turn, which keeps index order."""
+    m = p.modulus
+    values = [0]
+    for _ in range(t):
+        values = [(v * x + a) % m for v in values for a in range(m)]
+    return values
+
+
 def coeffs_to_index(coeffs: Sequence[int], p: FieldPrime) -> int:
     """Pack a coefficient vector into its lexicographic index."""
     m = p.modulus

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .gfpoly import FieldPrime, coeffs_to_index, interpolate_coeffs, poly_eval
+from .gfpoly import FieldPrime, coeffs_to_index, interpolate_coeffs, poly_column
 
 
 @dataclass(frozen=True)
@@ -39,26 +39,33 @@ def oa_validate(spec: OASpec, budget: int = 10_000_000):
 
     Returns (True, None), or (False, (columns, row_a, row_b)) for the
     first collision in scan order: the smallest (row_b, subset index),
-    with row_a < row_b the earlier row of the pair.  Refuses to run past
-    `budget` projections before enumerating anything.
+    with row_a < row_b the earlier row of the pair.
 
-    Works by columns: each entry is evaluated once into a table per
-    column, and each column subset is checked with one set of its
-    projections.  Memory grows with cols * rows plus that one set.  A
-    subset whose set comes up short is scanned again row by row to
-    name the collision; later subsets then only need the rows before it.
+    Refuses to run past `budget` projections before enumerating
+    anything, in time bounded by the budget's size.  The rows alone
+    number at least 2^(t * (bits(modulus) - 1)), so that power is
+    compared with the budget's bit length first.  Only an array that
+    passes it has its exact cost rows * C(cols, t) computed, and that
+    cost then has under four times the budget's bits.
+
+    Works by columns: each column's table is built in one Horner pass
+    over all rows (poly_column), and each column subset is checked
+    with one set of its projections.  Memory grows with cols * rows
+    plus that one set.  A subset whose set comes up short is scanned
+    again row by row to name the collision; later subsets then only
+    need the rows before it.
     """
+    floor_bits = spec.t * (spec.p.modulus.bit_length() - 1)
+    if budget < 1 or floor_bits >= budget.bit_length():
+        raise ValueError(
+            f"validation needs at least 2^{floor_bits} projections, budget is {budget}"
+        )
     rows = spec.rows
     cost = rows * math.comb(spec.cols, spec.t)
     if cost > budget:
         raise ValueError(f"validation needs {cost} projections, budget is {budget}")
     points = range(1, spec.cols + 1)
-    digits = range(spec.p.modulus)
-    # product gives the rows' coefficient tuples in row order, as base_digits
-    column = {
-        j: [poly_eval(coeffs, j, spec.p) for coeffs in itertools.product(digits, repeat=spec.t)]
-        for j in points
-    }
+    column = {j: poly_column(j, spec.t, spec.p) for j in points}
     violation, limit = None, rows
     for combo in itertools.combinations(points, spec.t):
         projections = zip(*(column[j] for j in combo))

@@ -360,7 +360,7 @@ def test_verify_oa_rejects_wide_array(capsys):
 
 def test_verify_oa_reports_collision(capsys, monkeypatch):
     "A constant array collides on rows 0 and 1 of the only subset."
-    monkeypatch.setattr(oarray, "poly_eval", lambda c, x, p: 0)
+    monkeypatch.setattr(oarray, "poly_column", lambda x, t, p: [0] * p.modulus**t)
     code, stdout, _ = run(
         capsys, "verify", "oa", "--sigma", "3", "--t", "2", "--cols", "2"
     )
@@ -378,6 +378,21 @@ def test_verify_oa_refuses_over_budget_at_once(capsys):
     assert code == 2
     assert "validation needs " in err
     assert "budget is 10000000" in err
+
+
+def test_verify_oa_refuses_huge_t_by_bit_length(capsys):
+    """sigma^t for t = 3*10^6 has about 9*10^7 bits: it is never computed,
+    and the refusal names the budget, not an int-to-string limit."""
+    start = time.perf_counter()
+    code, _, err = run(
+        capsys, "verify", "oa", "--sigma", "1000000007",
+        "--t", "3000000", "--cols", "3000000",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "validation needs " in err
+    assert "budget is 10000000" in err
+    assert "integer string conversion" not in err
 
 
 def test_verify_bound_matches_documented_example(capsys):

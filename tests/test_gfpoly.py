@@ -18,6 +18,7 @@ from latticeobs.gfpoly import (
     interpolate_coeffs,
     is_prime,
     next_prime_above,
+    poly_column,
     poly_eval,
 )
 
@@ -224,6 +225,17 @@ def test_poly_eval_frozen(coeffs, x, expected):
 def test_poly_eval_reduces_x():
     # x is taken mod 5, so points 1 and 6 agree
     assert poly_eval((2, 3), 6, P5) == poly_eval((2, 3), 1, P5)
+
+
+@pytest.mark.parametrize("modulus", [2, 3, 5, 7])
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_poly_column_matches_poly_eval_exhaustive(modulus, t):
+    "Every row's entry, at every x in 0..2p: x = 0 and x >= p included."
+    p = FieldPrime(modulus)
+    for x in range(2 * modulus + 1):
+        assert poly_column(x, t, p) == [
+            poly_eval(base_digits(i, t, p), x, p) for i in range(modulus**t)
+        ], x
 
 
 @pytest.mark.parametrize(

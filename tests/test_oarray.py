@@ -2,11 +2,12 @@
 
 import itertools
 import time
+import tracemalloc
 
 import pytest
 
 import latticeobs.oarray as oarray
-from latticeobs.gfpoly import FieldPrime, base_digits, poly_eval
+from latticeobs.gfpoly import FieldPrime, base_digits, poly_column, poly_eval
 from latticeobs.oarray import OASpec, oa_row_from_projection, oa_validate
 
 S524 = OASpec(FieldPrime(5), 2, 4)
@@ -46,9 +47,14 @@ def test_oa_validate_true(modulus, t, cols):
     assert violation is None
 
 
+def faulty_column(fault):
+    "poly_column with every entry computed by fault(coeffs, x, p) instead."
+    return lambda x, t, p: [fault(base_digits(i, t, p), x, p) for i in range(p.modulus**t)]
+
+
 def test_oa_validate_reports_violation(monkeypatch):
     # collapse the array to a constant; rows 0 and 1 then collide
-    monkeypatch.setattr(oarray, "poly_eval", lambda c, x, p: 0)
+    monkeypatch.setattr(oarray, "poly_column", faulty_column(lambda c, x, p: 0))
     ok, violation = oa_validate(OASpec(FieldPrime(3), 2, 2))
     assert not ok
     assert violation == ((1, 2), 0, 1)
@@ -90,14 +96,14 @@ def test_row_from_projection_validation():
         oa_row_from_projection((1, 2), (0, 5), S524)  # value range
 
 
-def _reference_validate(spec):
-    """The row-by-row dict scan: the first collision in (row, subset)
-    order, with the earlier row of the pair."""
+def _reference_validate(spec, entry=poly_eval):
+    """The row-by-row dict scan over entry(coeffs, x, p): the first
+    collision in (row, subset) order, with the earlier row of the pair."""
     combos = list(itertools.combinations(range(1, spec.cols + 1), spec.t))
     seen = {combo: {} for combo in combos}
     for i in range(spec.rows):
         coeffs = base_digits(i, spec.t, spec.p)
-        vals = {j: oarray.poly_eval(coeffs, j, spec.p) for j in range(1, spec.cols + 1)}
+        vals = {j: entry(coeffs, j, spec.p) for j in range(1, spec.cols + 1)}
         for combo in combos:
             other = seen[combo].setdefault(tuple(vals[j] for j in combo), i)
             if other != i:
@@ -122,10 +128,10 @@ def _override(entries):
     ],
 )
 def test_oa_validate_reports_earliest_row_across_subsets(monkeypatch, entries, expected):
-    monkeypatch.setattr(oarray, "poly_eval", _override(entries))
+    monkeypatch.setattr(oarray, "poly_column", faulty_column(_override(entries)))
     spec = OASpec(FieldPrime(5), 2, 4)
     assert oa_validate(spec) == (False, expected)
-    assert _reference_validate(spec) == (False, expected)
+    assert _reference_validate(spec, _override(entries)) == (False, expected)
 
 
 FAULTS = {
@@ -142,9 +148,9 @@ FAULTS = {
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 @pytest.mark.parametrize("modulus,t,cols", [(5, 1, 4), (5, 2, 4), (7, 3, 4), (7, 3, 6)])
 def test_oa_validate_matches_reference_scan_on_faults(monkeypatch, fault, modulus, t, cols):
-    monkeypatch.setattr(oarray, "poly_eval", FAULTS[fault])
+    monkeypatch.setattr(oarray, "poly_column", faulty_column(FAULTS[fault]))
     spec = OASpec(FieldPrime(modulus), t, cols)
-    assert oa_validate(spec) == _reference_validate(spec)
+    assert oa_validate(spec) == _reference_validate(spec, FAULTS[fault])
 
 
 @pytest.mark.parametrize(
@@ -163,3 +169,38 @@ def test_oa_validate_refuses_over_budget_before_enumerating():
     with pytest.raises(ValueError, match="budget is 10000000"):
         oa_validate(spec)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "budget,message",
+    [
+        (150, None),  # exactly the cost: 25 rows x 6 subsets
+        (149, "validation needs 150 projections, budget is 149$"),
+        (15, "validation needs at least 2\\^4 projections, budget is 15$"),
+        (0, "validation needs at least 2\\^4 projections, budget is 0$"),
+        (-5, "validation needs at least 2\\^4 projections, budget is -5$"),
+    ],
+)
+def test_oa_validate_budget_boundary(budget, message):
+    """5^2 rows are at least 2^4, so a budget of 4 bits or fewer is
+    refused on bit lengths alone; above that the exact cost decides."""
+    if message is None:
+        assert oa_validate(S524, budget=budget) == (True, None)
+    else:
+        with pytest.raises(ValueError, match=message):
+            oa_validate(S524, budget=budget)
+
+
+def test_oa_validate_memory_guard():
+    """31^3 rows, 4 columns: the four column tables and one projection
+    set peak at 4.76 MiB traced (Python 3.11).  Keeping the rows'
+    coefficient tuples beside the tables reads 6.8 MiB and fails."""
+    spec = OASpec(FieldPrime(31), 3, 4)
+    tracemalloc.start()
+    try:
+        result = oa_validate(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (True, None)
+    assert peak <= 6 * 2**20
