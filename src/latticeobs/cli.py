@@ -54,7 +54,7 @@ def _make_params(args):
     if kind is None:
         kind = "colord" if directed else "undir"
     spec = LatticeSpec(dims, directed, args.t)
-    return make_scheme(spec, kind, origin_index=args.origin_index, sigma=args.sigma)
+    return make_scheme(spec, kind, sigma=args.sigma)
 
 
 def _default_length(spec: LatticeSpec) -> int:
@@ -115,7 +115,7 @@ def cmd_decode(args) -> int:
 
 def cmd_verify_roundtrip(args) -> int:
     params = _make_params(args)
-    length = args.length or _default_length(params.lattice)
+    length = _default_length(params.lattice) if args.length is None else args.length
     report = roundtrip_campaign(
         params,
         params.lattice.t,
@@ -130,7 +130,7 @@ def cmd_verify_roundtrip(args) -> int:
 
 def cmd_verify_scan(args) -> int:
     params = _make_params(args)
-    t_min = args.t_min or params.lattice.t
+    t_min = params.lattice.t if args.t_min is None else args.t_min
     report = ambiguity_scan(
         params,
         args.max_len,
@@ -174,8 +174,6 @@ def _add_lattice_args(p: argparse.ArgumentParser):
     p.add_argument("--t", type=int, required=True, help="target walk dimension")
     p.add_argument("--scheme", choices=KINDS, help="coloring scheme")
     p.add_argument("--sigma", type=int, help="field prime override")
-    p.add_argument("--origin-index", dest="origin_index", type=int, default=0,
-                   help="reference corner for mod3-aux")
 
 
 @functools.cache
@@ -206,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_lattice_args(p_rt)
     p_rt.add_argument("--walks", type=int, default=1000)
     p_rt.add_argument("--seed", type=int, default=0)
-    p_rt.add_argument("--length", type=int, default=0, help="walk length (default t+4)")
+    p_rt.add_argument("--length", type=int,
+                      help="walk length (default t+4; at t=1, min(min(dims) - 1, 5))")
     p_rt.add_argument("--min-distinct-edges", dest="min_distinct_edges", type=int, default=1)
     p_rt.set_defaults(func="cmd_verify_roundtrip")
 
@@ -214,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_lattice_args(p_scan)
     p_scan.add_argument("--max-len", dest="max_len", type=int, required=True,
                         help=f"longest walk to scan, at most {MAX_SCAN_LEN} (more exits 2)")
-    p_scan.add_argument("--t-min", dest="t_min", type=int, default=0,
+    p_scan.add_argument("--t-min", dest="t_min", type=int,
                         help="minimum walk dimension to group (default: t)")
     p_scan.add_argument("--budget", type=int, default=5_000_000)
     p_scan.add_argument("--exclude-single-edge", dest="exclude_single_edge",

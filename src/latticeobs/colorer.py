@@ -17,7 +17,9 @@ Kinds:
   color2    directed lattices, t = 2d; block 2 * axis + down holds a root
             coordinate's quotient (up edge) or remainder (down edge)
   undir     undirected lattices, any t up to d
-  mod3-aux  bare 3-coloring by distance to a reference corner (analysis aid)
+
+Every kind has a decoder, and a coloring file's header names its
+parameters exactly: parse_header accepts only what format_header writes.
 """
 
 from dataclasses import dataclass
@@ -29,7 +31,7 @@ from .gfpoly import FieldPrime, ceil_nth_root, next_prime_above
 from .lattice import Edge, LatticeSpec, Walk, edge_endpoints, in_bounds, rank, unrank
 from .oarray import OASpec
 
-KINDS = ("colord", "color2", "undir", "mod3-aux")
+KINDS = ("colord", "color2", "undir")
 
 
 @dataclass(frozen=True)
@@ -39,7 +41,6 @@ class SchemeParams:
     sigma: FieldPrime | None
     group_count: int
     group_size: int
-    origin_index: int = 0
 
     @cached_property
     def oa(self) -> OASpec | None:
@@ -60,13 +61,9 @@ def default_sigma(spec: LatticeSpec) -> FieldPrime:
     return next_prime_above(max(ceil_nth_root(spec.size, spec.t), spec.codes))
 
 
-def make_scheme(
-    spec: LatticeSpec, kind: str, origin_index: int = 0, sigma: int | None = None
-) -> SchemeParams:
+def make_scheme(spec: LatticeSpec, kind: str, sigma: int | None = None) -> SchemeParams:
     if kind not in KINDS:
         raise ValueError(f"unknown scheme kind {kind!r}")
-    if origin_index and kind != "mod3-aux":
-        raise ValueError("origin index applies only to mod3-aux")
     d, t = spec.d, spec.t
     if kind == "color2":
         if not spec.directed or t != spec.codes:
@@ -74,14 +71,6 @@ def make_scheme(
         if sigma is not None:
             raise ValueError("color2 uses no field prime")
         return SchemeParams(spec, kind, None, spec.codes, ceil_nth_root(max(spec.dims), 2))
-    if kind == "mod3-aux":
-        if spec.directed:
-            raise ValueError("mod3-aux colors undirected lattices")
-        if not 0 <= origin_index <= d:
-            raise ValueError(f"origin index must be in [0, {d}]")
-        if sigma is not None:
-            raise ValueError("mod3-aux uses no field prime")
-        return SchemeParams(spec, kind, None, 3, 1, origin_index)
     if kind == "colord" and not spec.directed:
         raise ValueError("colord needs a directed lattice")
     if kind == "undir" and spec.directed:
@@ -161,24 +150,12 @@ def color2_assign(root, r: int, code: int, params: SchemeParams) -> int:
     return (2 * axis + down) * size + (remainder if down else quotient)
 
 
-def mod3_assign(root, r: int, code: int, params: SchemeParams) -> int:
-    """Distance from the edge's root to the scheme's reference corner,
-    mod 3.  Corner 0 is all-zeros; corner q >= 1 has coordinate q maxed
-    and the rest zero.  The rank r goes unused."""
-    spec = params.lattice
-    q = params.origin_index
-    if q == 0:
-        return sum(root) % 3
-    return (sum(root) + spec.dims[q - 1] - 1 - 2 * root[q - 1]) % 3
-
-
 # Unchecked assigners: (root, root rank, code, params) -> color, for an
 # edge already known to fit the lattice.
 _ASSIGNERS = {
     "colord": oa_assign,
     "undir": oa_assign,
     "color2": color2_assign,
-    "mod3-aux": mod3_assign,
 }
 
 
@@ -195,15 +172,13 @@ def color_unpack(c: int, params: SchemeParams) -> tuple:
     """Invert a flat color id into (code, value, parity, digits): the
     edge code, the array value, the root row's coefficient parities
     packed as parity_group packs them, and the undirected distance
-    digits.  color2 and mod3-aux carry parity 0 and no digits."""
+    digits.  color2 carries parity 0 and no digits."""
     if not 0 <= c < palette_size(params):
         raise ValueError(f"color {c} outside palette of {palette_size(params)}")
     if params.kind == "color2":
         block, value = divmod(c, params.group_size)
         axis, down = divmod(block, 2)
         return axis + 1 + down * params.lattice.d, value, 0, ()
-    if params.kind == "mod3-aux":
-        return None, c, 0, ()
     t = params.lattice.t
     group, rem = divmod(c, params.group_size)
     block, value = divmod(rem, params.sigma.modulus)
@@ -299,13 +274,12 @@ def coloring_lines(params: SchemeParams):
     yield format_header(params)
     spec = params.lattice
     n, p = spec.dims[-1], params.sigma
-    if not p:  # color2 and mod3-aux read no rank
-        assign = _ASSIGNERS[params.kind]
+    if not p:  # color2 reads no rank
         for prefix, head, inner, top in _runs(spec):
             for x in range(n):
                 root = (*prefix, x)
                 for c in inner if x < n - 1 else top:
-                    yield f"{head}{x} {c} {assign(root, None, c, params)}"
+                    yield f"{head}{x} {c} {color2_assign(root, None, c, params)}"
         return
     m, size = p.modulus, params.group_size
     blocks = [0] + [c * m for c in range(spec.codes)]  # indexed by code
@@ -324,7 +298,8 @@ def coloring_lines(params: SchemeParams):
 
 
 def parse_header(line: str) -> SchemeParams:
-    """Rebuild scheme parameters from a coloring file's first line."""
+    """Rebuild scheme parameters from a coloring file's first line,
+    which must be exactly the line format_header writes for them."""
     if not line.startswith("#"):
         raise ValueError("coloring file must start with a '#' header line")
     fields = dict(
@@ -343,4 +318,6 @@ def parse_header(line: str) -> SchemeParams:
     declared = params.sigma.modulus if params.sigma else 0
     if declared != sig:
         raise ValueError(f"header sigma {sig} does not match scheme {kind}")
+    if line != format_header(params):
+        raise ValueError(f"non-canonical coloring header: {line!r}")
     return params

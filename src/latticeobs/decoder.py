@@ -1,7 +1,7 @@
 """Recover a walk's location from its edge colors alone.
 
 The decoder never sees the walk's start.  One pipeline serves every
-decodable scheme, in five stages:
+scheme kind, in five stages:
 
   unpack   split each color into a (code, value, parity, digits) tuple;
            locate expands parity bits for its t columns and anchor only;
@@ -112,9 +112,7 @@ def decode(obs: WalkObservation) -> DecodeReport:
     """
     params = obs.params
     spec = params.lattice
-    locate = _LOCATORS.get(params.kind)
-    if locate is None:
-        raise ValueError(f"scheme {params.kind!r} is not decodable")
+    locate = _LOCATORS[params.kind]
     try:
         try:
             parts = [color_unpack(c, params) for c in obs.colors]
@@ -219,8 +217,8 @@ def recover_signs(obs: WalkObservation, parts=None) -> list[int]:
     runs along the corner's own axis, where the lexicographic root is
     the farther endpoint).  Between consecutive edges the nearer-end
     distance then moves +1 when both traversals head away from the
-    corner, -1 when both head toward it, and 0 when they oppose; the
-    first unequal adjacent pair pins every direction.  A stream with no
+    corner, -1 when both head toward it, and 0 when they oppose; any
+    unequal adjacent pair pins every direction.  A stream with no
     unequal pair says nothing, and if all streams are constant the
     observation is ambiguous.
     """
@@ -249,27 +247,22 @@ def recover_signs(obs: WalkObservation, parts=None) -> list[int]:
 
 def _alternation_signs(ideals) -> list[int] | None:
     """Rising(+1)/falling(-1) sense of each edge against one distance
-    potential, or None when the stream is constant."""
-    n = len(ideals)
-    boot = next((i for i in range(n - 1) if ideals[i] != ideals[i + 1]), None)
-    if boot is None:
+    potential, or None when the stream is constant.
+
+    One pass: a normalized difference of 0 between adjacent edges flips
+    the relative sense, 1 (both rise) or 2 (both fall) keeps it and pins
+    the global sign; every such pin must agree."""
+    sense, pin, rel = 1, 0, [1]
+    for a, b in zip(ideals, ideals[1:]):
+        diff = (b - a) % 3
+        if diff:
+            need = sense if diff == 1 else -sense
+            if pin and need != pin:
+                raise ObservationError("distance digits fit no walk")
+            pin = need
+        else:
+            sense = -sense
+        rel.append(sense)
+    if not pin:
         return None
-    signs = [0] * n
-    signs[boot] = signs[boot + 1] = 1 if (ideals[boot + 1] - ideals[boot]) % 3 == 1 else -1
-    for i in range(boot + 1, n - 1):
-        signs[i + 1] = _chain(signs[i], (ideals[i + 1] - ideals[i]) % 3)
-    for i in range(boot - 1, -1, -1):
-        signs[i] = _chain(signs[i + 1], (ideals[i + 1] - ideals[i]) % 3)
-    return signs
-
-
-def _chain(known: int, diff: int) -> int:
-    """Sign of the edge adjacent to one with a known sign, given the
-    normalized color difference between them (0 opposes, 1 both rise,
-    2 both fall)."""
-    if diff == 0:
-        return -known
-    need = 1 if diff == 1 else -1
-    if known != need:
-        raise ObservationError("distance digits fit no walk")
-    return need
+    return rel if pin > 0 else [-s for s in rel]

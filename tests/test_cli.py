@@ -1,5 +1,6 @@
 """Command-line interface: outputs, files, exit codes."""
 
+import argparse
 import os
 import stat
 import subprocess
@@ -9,7 +10,7 @@ import time
 import pytest
 
 import latticeobs
-from latticeobs import cli, oarray
+from latticeobs import cli, colorer, decoder, oarray
 from latticeobs.cli import main
 from latticeobs.colorer import coloring_lines, make_scheme
 from latticeobs.lattice import LatticeSpec
@@ -227,14 +228,20 @@ def test_decode_bad_colors_exits_2(tmp_path, capsys):
 
 
 def test_decode_aux_coloring_exits_2(tmp_path, capsys):
-    coloring = make_coloring(
-        tmp_path, "--dims", "4x4", "--t", "1", "--scheme", "mod3-aux"
-    )
-    capsys.readouterr()
-    code, _, err = run(
-        capsys, "decode", "--coloring", str(coloring), "--colors", "0,1"
-    )
-    assert code == 2
+    """A header naming a kind that no longer exists, or one that is not
+    exactly what `color` writes, is a parameter error."""
+    cases = [
+        ("#dims=4x4 directed=0 t=1 sigma=0 scheme=mod3-aux", "unknown scheme kind 'mod3-aux'"),
+        ("#dims=4x4 directed=1 t=2 sigma=5 scheme=colord junk", "non-canonical coloring header"),
+    ]
+    coloring = tmp_path / "coloring.txt"
+    for header, message in cases:
+        coloring.write_text(header + "\n0,0 1 0\n", encoding="utf-8")
+        code, _, err = run(
+            capsys, "decode", "--coloring", str(coloring), "--colors", "0,1"
+        )
+        assert code == 2
+        assert message in err
 
 
 @pytest.mark.parametrize(
@@ -251,12 +258,13 @@ def test_decode_aux_coloring_exits_2(tmp_path, capsys):
         ("verify", "scan", "--dims", "3x3", "--directed", "--t", "2", "--max-len", "0"),
         ("verify", "roundtrip", "--dims", "3x3", "--directed", "--t", "2", "--walks", "-1"),
         ("verify", "roundtrip", "--dims", "3x3", "--directed", "--t", "2", "--walks", "0"),
-        ("color", "--dims", "4x4", "--directed", "--t", "2", "--origin-index", "3", "--out", "x"),
         ("verify", "scan", "--dims", "3x3", "--directed", "--t", "2", "--max-len", "5000"),
         ("verify", "scan", "--dims", "2", "--t", "1", "--max-len", "2000", "--budget", "100000"),
         ("color", "--dims", "4x4", "--n", "0", "--t", "2", "--out", "x"),
         ("color", "--n", "0", "--d", "2", "--t", "2", "--out", "x"),
         ("color", "--n", "5", "--d", "0", "--t", "2", "--out", "x"),
+        ("verify", "roundtrip", "--dims", "3x3", "--directed", "--t", "2", "--walks", "2", "--length", "0"),
+        ("verify", "scan", "--dims", "3x3", "--directed", "--t", "2", "--max-len", "3", "--t-min", "0"),
     ],
 )
 def test_parameter_errors_exit_2(argv, capsys):
@@ -282,10 +290,30 @@ def test_cube_shorthand_errors_name_the_value(shape, message, capsys):
     assert message in err
 
 
-def test_unknown_flag_is_argparse_error():
-    with pytest.raises(SystemExit) as exc:
-        main(["color", "--dims", "4x4", "--t", "2", "--frobnicate"])
-    assert exc.value.code == 2
+def test_unknown_flag_is_argparse_error(tmp_path):
+    out = str(tmp_path / "c.txt")
+    for extra in (["--frobnicate"], ["--origin-index", "3"], ["--scheme", "mod3-aux"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["color", "--dims", "4x4", "--t", "2", "--out", out, *extra])
+        assert exc.value.code == 2
+    assert not list(tmp_path.iterdir())
+
+
+def test_every_kind_colors_decodes_and_is_a_cli_choice():
+    """colorer.KINDS, the color assigners, the decoder's locators and
+    every --scheme choice name the same kinds, so no kind colors what
+    it cannot decode."""
+    assert len(set(colorer.KINDS)) == len(colorer.KINDS)
+    assert set(colorer._ASSIGNERS) == set(colorer.KINDS)
+    assert set(decoder._LOCATORS) == set(colorer.KINDS)
+    choices, pending = [], [cli.build_parser()]
+    while pending:
+        for action in pending.pop()._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                pending += action.choices.values()
+            elif "--scheme" in action.option_strings:
+                choices.append(tuple(action.choices))
+    assert choices == [colorer.KINDS] * 4  # color, roundtrip, scan, bound
 
 
 def test_verify_roundtrip_ok(capsys):

@@ -100,22 +100,7 @@ def test_make_scheme_kind_checks():
     with pytest.raises(ValueError, match="color2 uses no field prime"):
         make_scheme(spec((4, 4), True, 4), "color2", sigma=5)
     with pytest.raises(ValueError):
-        make_scheme(spec((4, 4), False, 2), "mod3-aux", origin_index=3)
-    with pytest.raises(ValueError, match="mod3-aux colors undirected lattices"):
-        make_scheme(spec((4, 4), True, 2), "mod3-aux")
-    with pytest.raises(ValueError, match="mod3-aux uses no field prime"):
-        make_scheme(spec((4, 4), False, 2), "mod3-aux", sigma=5)
-    with pytest.raises(ValueError):
         make_scheme(spec((4, 4), True, 2), "rainbow")
-
-
-@pytest.mark.parametrize(
-    "directed,t,kind", [(True, 2, "colord"), (False, 2, "undir"), (True, 4, "color2")]
-)
-def test_make_scheme_refuses_origin_index(directed, t, kind):
-    "Only mod3-aux reads an origin index; any other kind refuses one."
-    with pytest.raises(ValueError, match="origin index applies only to mod3-aux"):
-        make_scheme(spec((4, 4), directed, t), kind, origin_index=1)
 
 
 def test_make_scheme_sigma_override():
@@ -134,7 +119,6 @@ def test_palette_size_frozen():
     assert palette_size(make_scheme(spec((2, 2), True, 2), "colord")) == 80
     assert palette_size(make_scheme(spec((2, 2), False, 2), "undir", sigma=5)) == 360
     assert palette_size(make_scheme(spec((16, 16), True, 4), "color2")) == 16
-    assert palette_size(make_scheme(spec((4, 4), False, 1), "mod3-aux")) == 3
     assert palette_size(make_scheme(spec((16, 16), True, 4), "colord")) == 320
 
 
@@ -210,18 +194,6 @@ def test_undir_frozen_values():
     assert value == 2
     assert parity_bits(parity, 2) == (0, 0)
     assert digits == (1, 1)
-
-
-def test_mod3_frozen_values():
-    s = spec((2, 2), False, 1)
-    q0 = make_scheme(s, "mod3-aux", origin_index=0)
-    q1 = make_scheme(s, "mod3-aux", origin_index=1)
-    assert assign_color(Edge((0, 0), 1), q0) == 0
-    assert assign_color(Edge((1, 0), 2), q0) == 1
-    assert assign_color(Edge((1, 0), 2), q1) == 0
-    s3 = spec((3, 3), False, 1)
-    q0 = make_scheme(s3, "mod3-aux", origin_index=0)
-    assert assign_color(Edge((1, 1), 1), q0) == 2
 
 
 def test_assign_rejects_bad_edges():
@@ -309,37 +281,20 @@ def test_no_node_repeats_an_incident_color(params):
 
 
 def test_mod3_is_corner_distance():
-    "Oracle: the color is the root's L1 distance to the corner, mod 3."
-    s = spec((4, 4, 4), False, 1)
-    corners = [(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3)]
-    for q, corner in enumerate(corners):
-        params = make_scheme(s, "mod3-aux", origin_index=q)
+    """Oracle: digit q of an undir t = 1 color is the root's L1 distance
+    to corner q, mod 3, plus 1 when q >= 1.  Corner 0 is all-zeros;
+    corner q >= 1 has coordinate q maxed and the rest zero."""
+    for dims in ((4, 4, 4), (3, 5), (5,)):
+        s = spec(dims, False, 1)
+        params = make_scheme(s, "undir")
+        corners = [(0,) * s.d]
+        corners += [tuple(n - 1 if a == q else 0 for a, n in enumerate(dims)) for q in range(s.d)]
         for edge in _edges(s):
-            dist = sum(abs(a - b) for a, b in zip(edge.root, corner))
-            assert assign_color(edge, params) == dist % 3
-
-
-def test_mod3_adjacent_roots_never_tie():
-    "Edges rooted at adjacent nodes always get different colors."
-    s = spec((3, 3), False, 1)
-    params = make_scheme(s, "mod3-aux", origin_index=0)
-    for edge in _edges(s):
-        u, v = edge_endpoints(edge, s)
-        eu = next(e for e in _edges(s) if e.root == u)
-        ev = [e for e in _edges(s) if e.root == v]
-        if ev:  # the anti-origin roots nothing
-            assert assign_color(eu, params) != assign_color(ev[0], params)
-
-
-def test_distance_digits_match_aux_coloring():
-    "Stored digit q >= 1 is the aux color shifted by one."
-    s = spec((3, 4), False, 1)
-    schemes = [make_scheme(s, "mod3-aux", origin_index=q) for q in range(3)]
-    for edge in _edges(s):
-        digits = distance_digits(edge.root, s)
-        assert digits[0] == assign_color(edge, schemes[0])
-        for q in (1, 2):
-            assert digits[q] == (assign_color(edge, schemes[q]) + 1) % 3
+            digits = color_unpack(assign_color(edge, params), params)[3]
+            assert len(digits) == len(corners)
+            for q, corner in enumerate(corners):
+                dist = sum(abs(a - b) for a, b in zip(edge.root, corner))
+                assert digits[q] == (dist + (q >= 1)) % 3, (dims, edge, q)
 
 
 def _seeded_walk(s, rng, length):
@@ -427,18 +382,15 @@ def test_coloring_lines_format():
 
 def _export_schemes(rng):
     """Every kind on small shapes beyond the golden configs: fixed
-    shapes with axes of length 2 plus seeded non-square ones, every
-    valid t and every mod3-aux origin."""
+    shapes with axes of length 2 plus seeded non-square ones, and every
+    valid t."""
     shapes = [(2,), (5,), (2, 5), (4, 3), (2, 2, 2), (3, 2, 4)]
     shapes += [tuple(rng.randrange(2, 6) for _ in range(d)) for d in (1, 2, 2, 3, 3)]
     out = []
     for dims in shapes:
         d = len(dims)
         out += [make_scheme(spec(dims, True, t), "colord") for t in range(1, 2 * d + 1)]
-        for t in range(1, d + 1):
-            s = spec(dims, False, t)
-            out.append(make_scheme(s, "undir"))
-            out += [make_scheme(s, "mod3-aux", origin_index=q) for q in range(d + 1)]
+        out += [make_scheme(spec(dims, False, t), "undir") for t in range(1, d + 1)]
     out += [make_scheme(spec((n, n), True, 4), "color2") for n in (2, 3, 5, 7)]
     out += [make_scheme(spec(dims, True, 2 * len(dims)), "color2") for dims in shapes]
     # t = 2 shapes whose rank counter carries inside a run of the last
@@ -571,9 +523,11 @@ def test_odometer_export_golden():
 
 
 def test_header_roundtrip():
-    for params in ROUNDTRIP_SCHEMES:
-        rebuilt = parse_header(format_header(params))
-        assert rebuilt == params
+    "Header and parameters map one-to-one, for every kind and every t."
+    for params in ROUNDTRIP_SCHEMES + _export_schemes(random.Random(44)):
+        line = format_header(params)
+        assert parse_header(line) == params
+        assert format_header(parse_header(line)) == line
 
 
 def test_header_sigma_zero_for_field_free_schemes():
@@ -592,6 +546,14 @@ def test_parse_header_rejects_malformed():
         parse_header("#dims=x4 directed=1 t=2 sigma=5 scheme=colord")
     with pytest.raises(ValueError, match="header sigma 0 does not match scheme colord"):
         parse_header("#dims=4x4 directed=1 t=2 sigma=0 scheme=colord")
+    # any line but the one format_header writes is refused
+    for line in (
+        "#dims=4x4 directed=2 t=2 sigma=5 scheme=colord",
+        "#dims=4x4 directed=1 t=2 sigma=5 scheme=colord junk",
+        "#dims=4x4 directed=1 t=2 sigma=5 scheme=colord t=2 extra=1",
+    ):
+        with pytest.raises(ValueError, match="non-canonical coloring header"):
+            parse_header(line)
 
 
 def _reference_oa_color(root, r, code, params):

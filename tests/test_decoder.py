@@ -126,12 +126,6 @@ def test_array_entry_diff_matches_entry_subtraction():
                 assert poly_eval(deltas, j, P5) == want
 
 
-def test_decode_dispatch_rejects_aux_scheme():
-    params = make_scheme(spec((3, 3), False, 1), "mod3-aux")
-    with pytest.raises(ValueError):
-        decode(WalkObservation((0,), params))
-
-
 def test_decode_single_directed_edge():
     # sigma > node count, so one column pins the row
     params = make_scheme(spec((2, 2), True, 1), "colord")
@@ -230,6 +224,31 @@ def test_recover_signs_exhaustive(t):
         assert signs == [1 if st > 0 else -1 for st in w.steps]
         checked += 1
     assert checked == {1: 84, 2: 648}[t]
+
+
+def test_alternation_signs_matches_brute_force():
+    """Every digit stream up to length 6 against every +-1 sign vector:
+    adjacent edges of opposite sign keep the digit, two rising edges
+    add 1 and two falling ones 2 (mod 3).  No consistent vector means
+    a raise, two (a vector and its negation) mean None, one means it."""
+    for n in range(1, 7):
+        vectors = list(itertools.product((1, -1), repeat=n))
+        for stream in itertools.product(range(3), repeat=n):
+            fits = [
+                list(v)
+                for v in vectors
+                if all(
+                    (b - a) % 3 == (0 if x != y else 1 if x > 0 else 2)
+                    for a, b, x, y in zip(stream, stream[1:], v, v[1:])
+                )
+            ]
+            if not fits:
+                with pytest.raises(ObservationError, match="distance digits fit no walk"):
+                    decoder._alternation_signs(stream)
+            else:
+                assert len(fits) <= 2, stream
+                want = None if len(fits) == 2 else fits[0]
+                assert decoder._alternation_signs(stream) == want, stream
 
 
 def test_decode2d_square_cycle():

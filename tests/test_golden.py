@@ -28,8 +28,6 @@ COLORING_CONFIGS = (
     + [((9, 9, 9), False, 3, "undir")]
     + [((16, 16), True, 4, "color2")]
 )
-# dims, t: mod3-aux is colored for every reference corner
-AUX_CONFIGS = (((4, 4), 1), ((4, 4, 4), 1))
 
 COLORING_DIGESTS = {
     "colord 9x9 t=1": "614e916ea43940a27751b72a5e6c9df0b67bd08b3f6c5874b85cadc9744e40ff",
@@ -54,13 +52,6 @@ COLORING_DIGESTS = {
     "undir 4x4x4 t=3": "dab0c7158d74f15cb4e6a6385494931f8090f51c69ee925859fccfc2c7e80b75",
     "undir 9x9x9 t=3": "5f6b7d734f84f77668267c3e9f17864befb791ec7cc00b4cd422c4d6bf5e5491",
     "color2 16x16 t=4": "ab686a372e2dc1c3bc82b895c61e1c8863d58592905e33606879944f866415fe",
-    "mod3-aux 4x4 t=1 origin=0": "ffe25d923088eaeba9011aa0346f9a07fa500eec7f31ca809f6cf57ba7b853f1",
-    "mod3-aux 4x4 t=1 origin=1": "f574a18d1a8766b3c06d508ae364e3126a520f1d952bc1b3ad3f9766f6f4a42d",
-    "mod3-aux 4x4 t=1 origin=2": "a24ebc3b2ee19c05d17c00fe743e14d95bf4f1b1081bbfa5ddd8efacbe7d6a0e",
-    "mod3-aux 4x4x4 t=1 origin=0": "45daa19b17e497202a85c5c704b38a6a1236b02c27bf9120cb43a55329c769cc",
-    "mod3-aux 4x4x4 t=1 origin=1": "57ce0c0428606df22437b56568e85d0cddffcffd7282e750efcad75bdf32c2ab",
-    "mod3-aux 4x4x4 t=1 origin=2": "aaf016b317616d01c49eee6c42a6f5549810d57c6f7b5e2c88763997599b5d57",
-    "mod3-aux 4x4x4 t=1 origin=3": "1ae81277e90b148c02d8cd791e77dd303e89cb95e4ad62a6a0198917dcb91101",
 }
 
 # dims, directed, t, kind, min distinct edges
@@ -90,12 +81,6 @@ def coloring_digests() -> dict:
     for dims, directed, t, kind in COLORING_CONFIGS:
         params = make_scheme(LatticeSpec(dims, directed, t), kind)
         out[f"{kind} {'x'.join(map(str, dims))} t={t}"] = _digest(coloring_lines(params))
-    for dims, t in AUX_CONFIGS:
-        spec = LatticeSpec(dims, False, t)
-        for origin in range(spec.d + 1):
-            params = make_scheme(spec, "mod3-aux", origin_index=origin)
-            label = f"mod3-aux {'x'.join(map(str, dims))} t={t} origin={origin}"
-            out[label] = _digest(coloring_lines(params))
     return out
 
 

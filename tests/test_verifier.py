@@ -297,8 +297,14 @@ def test_ambiguity_scan_matches_reference_color2_3d(dims):
 @pytest.mark.parametrize("origin", [0, 1])
 @pytest.mark.parametrize("exclude", [False, True])
 def test_ambiguity_scan_matches_reference_mod3_aux(origin, exclude):
-    params = make_scheme(spec((3, 3), False, 1), "mod3-aux", origin_index=origin)
-    _assert_scan_matches_reference(params, 3, 1, exclude_single_edge=exclude)
+    """A bare 3-coloring: each edge's root's L1 distance to a corner,
+    mod 3 (corner 0 is all-zeros, corner 1 has coordinate 1 maxed)."""
+    params = make_scheme(spec((3, 3), False, 1), "undir")
+    corner = (0, 0) if origin == 0 else (2, 0)
+    color_fn = lambda e: sum(abs(a - b) for a, b in zip(e.root, corner)) % 3
+    _assert_scan_matches_reference(
+        params, 3, 1, exclude_single_edge=exclude, color_fn=color_fn
+    )
 
 
 def test_ambiguity_scan_budget_is_exact():
