@@ -297,6 +297,37 @@ def test_mod3_is_corner_distance():
                 assert digits[q] == (dist + (q >= 1)) % 3, (dims, edge, q)
 
 
+def test_mod3_adjacent_roots_never_tie():
+    "Edges rooted at adjacent nodes always get a different digit 0."
+    s = spec((3, 3), False, 1)
+    params = make_scheme(s, "undir")
+
+    def digit0(edge):
+        return color_unpack(assign_color(edge, params), params)[3][0]
+
+    for edge in _edges(s):
+        u, v = edge_endpoints(edge, s)
+        eu = next(e for e in _edges(s) if e.root == u)
+        ev = [e for e in _edges(s) if e.root == v]
+        if ev:  # the anti-origin roots nothing
+            assert digit0(eu) != digit0(ev[0])
+
+
+def test_distance_digits_match_aux_coloring():
+    """Stored digit q >= 1 is the corner-q distance coloring (L1
+    distance mod 3) shifted by one; digit 0 is corner 0's unshifted."""
+    s = spec((3, 4), False, 1)
+    params = make_scheme(s, "undir")
+    corners = [(0, 0), (2, 0), (0, 3)]
+    for edge in _edges(s):
+        aux = [sum(abs(a - b) for a, b in zip(edge.root, c)) % 3 for c in corners]
+        digits = distance_digits(edge.root, s)
+        assert digits == color_unpack(assign_color(edge, params), params)[3]
+        assert digits[0] == aux[0]
+        for q in (1, 2):
+            assert digits[q] == (aux[q] + 1) % 3
+
+
 def _seeded_walk(s, rng, length):
     "A walk of `length` in-bounds steps picked uniformly at each node."
     if s.directed:
