@@ -155,10 +155,6 @@ def cmd_verify_oa(args) -> int:
 
 
 def cmd_verify_bound(args) -> int:
-    # bound compares the color-count lower bound against a scheme's
-    # palette; without --scheme it reports the general directed scheme
-    if args.scheme is None and not args.directed:
-        args.scheme = "colord"
     params = _make_params(args)
     lower = lower_bound_colors(params.lattice)
     palette = palette_size(params)
@@ -230,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bound = vsub.add_parser("bound", help="lower bound vs palette size")
     _add_lattice_args(p_bound)
-    p_bound.set_defaults(func="cmd_verify_bound")
+    # without --scheme, bound reports the general directed scheme
+    p_bound.set_defaults(func="cmd_verify_bound", scheme="colord")
 
     return parser
 

@@ -9,8 +9,9 @@ survives differencing (coefficient parities of the root's rank row,
 plus ternary distance digits on undirected lattices), `code` is the
 edge's orientation or axis, and `value` is the orthogonal-array entry
 of the root's rank row at that code's column.  color_unpack inverts it
-into a plain (code, value, parity, digits) tuple; the decoder expands
-parity into bits only for the t columns it reads and its anchor edge.
+into (code, value, parity, distance): the group's two fields stay
+packed ints, the low t bits and the base-3 digits above them, and the
+decoder reads single bits and digits off them where it needs them.
 
 Kinds:
   colord    directed lattices, any t up to 2d
@@ -25,7 +26,7 @@ parameters exactly: parse_header accepts only what format_header writes.
 from dataclasses import dataclass
 from functools import cached_property
 
-from .gfpoly import FieldPrime, ceil_nth_root, next_prime_above
+from .gfpoly import FieldPrime, base_digits, ceil_nth_root, next_prime_above, poly_eval
 # unrank goes unused here; bench/layers.py counts calls made through
 # colorer.unrank, so the name stays importable from this module.
 from .lattice import Edge, LatticeSpec, Walk, edge_endpoints, in_bounds, rank, unrank
@@ -78,6 +79,8 @@ def make_scheme(spec: LatticeSpec, kind: str, sigma: int | None = None) -> Schem
     p = default_sigma(spec) if sigma is None else FieldPrime(sigma)
     if p.modulus <= spec.codes or p.modulus**t < spec.size:
         raise ValueError(f"sigma {p.modulus} too small for this lattice")
+    if p.modulus == 2:
+        raise ValueError(f"{kind} needs an odd sigma: parity recovery cannot work mod 2")
     groups = 2**t if kind == "colord" else 2**t * 3 ** (d - t + 2)
     return SchemeParams(spec, kind, p, groups, spec.codes * p.modulus)
 
@@ -93,11 +96,6 @@ def parity_group(coeffs) -> int:
     for a in coeffs:
         g = g << 1 | a & 1
     return g
-
-
-def parity_bits(group: int, t: int) -> tuple[int, ...]:
-    """Unpack parity_group back into one bit per coefficient."""
-    return tuple(group >> (t - k) & 1 for k in range(1, t + 1))
 
 
 def _distance_group(u, spec: LatticeSpec) -> int:
@@ -169,27 +167,21 @@ def assign_color(edge: Edge, params: SchemeParams) -> int:
 
 
 def color_unpack(c: int, params: SchemeParams) -> tuple:
-    """Invert a flat color id into (code, value, parity, digits): the
+    """Invert a flat color id into (code, value, parity, distance): the
     edge code, the array value, the root row's coefficient parities
     packed as parity_group packs them, and the undirected distance
-    digits.  color2 carries parity 0 and no digits."""
+    digits packed base 3, digit 0 lowest.  distance is 0 on colord, and
+    color2 carries 0 for both."""
     if not 0 <= c < palette_size(params):
         raise ValueError(f"color {c} outside palette of {palette_size(params)}")
     if params.kind == "color2":
         block, value = divmod(c, params.group_size)
         axis, down = divmod(block, 2)
-        return axis + 1 + down * params.lattice.d, value, 0, ()
+        return axis + 1 + down * params.lattice.d, value, 0, 0
     t = params.lattice.t
     group, rem = divmod(c, params.group_size)
     block, value = divmod(rem, params.sigma.modulus)
-    parity = group & (1 << t) - 1
-    digits = []
-    if params.kind == "undir":
-        group >>= t
-        for _ in range(params.lattice.d - t + 2):
-            group, dig = divmod(group, 3)
-            digits.append(dig)
-    return block + 1, value, parity, tuple(digits)
+    return block + 1, value, group & (1 << t) - 1, group >> t
 
 
 def color_walk(w: Walk, params: SchemeParams) -> tuple[int, ...]:
@@ -267,8 +259,8 @@ def coloring_lines(params: SchemeParams):
     with the rank: between carries only the last coefficient k = r mod
     sigma moves, and each step adds 1 mod sigma to every array entry and
     flips the last parity bit, so a root's entries are those of its row
-    at k = 0, plus k.  Only a carry, once per sigma roots, colors the
-    row again with oa_assign, whose group holds the row's parities.
+    at k = 0, plus k.  Only a carry, once per sigma roots, reads that
+    row's digits again and evaluates its entries and parities from them.
     Distance digits repeat with period 3 along the last axis, so each
     run computes them for its three residues."""
     yield format_header(params)
@@ -288,9 +280,9 @@ def coloring_lines(params: SchemeParams):
         for x, r in enumerate(range(q * n, q * n + n)):
             k = r % m
             if not k:
-                row = [oa_assign((*prefix, x), r, c, params) for c in range(1, spec.codes + 1)]
-                entries = [0] + [color % m for color in row]
-                parity = row[0] // size & (1 << spec.t) - 1
+                digits = base_digits(r, spec.t, p)
+                entries = [0] + [poly_eval(digits, c, p) for c in range(1, spec.codes + 1)]
+                parity = parity_group(digits)
             base = (parity | k & 1 | distance[x % 3]) * size
             tag = f"{head}{x} "
             for c in inner if x < n - 1 else top:

@@ -3,8 +3,8 @@
 The decoder never sees the walk's start.  One pipeline serves every
 scheme kind, in five stages:
 
-  unpack   split each color into a (code, value, parity, digits) tuple;
-           locate expands parity bits for its t columns and anchor only;
+  unpack   split each color into (code, value, parity, distance), the
+           last two still packed ints that later stages read bits off;
   signs    read each step's traversal direction: from the code on
            directed lattices, from the distance digits on undirected
            ones (recover_signs);
@@ -29,7 +29,7 @@ sequences fit none.  Reports never guess.
 from dataclasses import dataclass
 from operator import add
 
-from .colorer import SchemeParams, color_unpack, color_walk, parity_bits, parity_group
+from .colorer import SchemeParams, color_unpack, color_walk, parity_group
 from .gfpoly import FieldPrime, base_digits, poly_eval
 # walk_nodes goes unused here; bench/layers.py times calls made through
 # decoder.walk_nodes, so the name stays importable from this module.
@@ -73,12 +73,13 @@ class DecodeReport:
 
 
 def recover_coef_diffs(
-    ell: int, parity_a, parity_b, t: int, p: FieldPrime
+    ell: int, parity_a: int, parity_b: int, t: int, p: FieldPrime
 ) -> tuple[int, ...]:
     """Coefficient differences of two rank rows from their index gap.
 
-    ell = index_a - index_b >= 0.  Working least-significant digit
-    first, each base-modulus digit of the remaining gap is the
+    ell = index_a - index_b >= 0, and each parity is a row's coefficient
+    parities as parity_group packs them.  Working least-significant
+    digit first, each base-modulus digit of the remaining gap is the
     coefficient difference up to one borrow of the modulus; the known
     parities pick the single candidate in (-modulus, modulus) because
     the modulus is odd.
@@ -86,13 +87,12 @@ def recover_coef_diffs(
     m = p.modulus
     if m % 2 == 0:
         raise ValueError("parity recovery needs an odd modulus")
-    if len(parity_a) != t or len(parity_b) != t:
-        raise ValueError(f"need {t} parity bits per row")
     if ell < 0:
         raise ObservationError("rank gap must be non-negative")
+    flips = parity_a ^ parity_b
     deltas = [0] * t
     for k in range(t - 1, -1, -1):
-        want = parity_a[k] ^ parity_b[k]
+        want = flips >> (t - 1 - k) & 1
         rem = ell % m
         delta = rem if rem % 2 == want else rem - m
         if delta <= -m:
@@ -158,7 +158,6 @@ def _locate_oa(params, parts, signs, offsets, root_idx) -> tuple:
     p, t = params.sigma, spec.t
     codes = [part[0] for part in parts]
     anchor_parity = parts[root_idx - 1 if root_idx else 0][2]
-    anchor_bits = parity_bits(anchor_parity, t)
     columns = sorted(set(codes))[:t]
     values = []
     for column in columns:
@@ -166,7 +165,7 @@ def _locate_oa(params, parts, signs, offsets, root_idx) -> tuple:
         k = pos if signs[pos] > 0 else pos + 1
         gap = rank_difference(offsets, k, root_idx, spec)
         _, value, parity, _ = parts[pos]
-        deltas = recover_coef_diffs(gap, parity_bits(parity, t), anchor_bits, t, p)
+        deltas = recover_coef_diffs(gap, parity, anchor_parity, t, p)
         # entries are linear in the coefficients
         values.append((value - poly_eval(deltas, column, p)) % p.modulus)
     row = oa_row_from_projection(columns, values, params.oa)
@@ -211,16 +210,17 @@ def recover_signs(obs: WalkObservation, parts=None) -> list[int]:
     """Traversal direction of each step of an undir observation; parts,
     when given, are its colors already unpacked.
 
-    Every color carries one distance digit per reference corner.  Each
-    stream is first normalized to "the nearer endpoint's distance mod 3"
-    (the stored digit sits one past it, one more again when the edge
-    runs along the corner's own axis, where the lexicographic root is
-    the farther endpoint).  Between consecutive edges the nearer-end
-    distance then moves +1 when both traversals head away from the
-    corner, -1 when both head toward it, and 0 when they oppose; any
-    unequal adjacent pair pins every direction.  A stream with no
-    unequal pair says nothing, and if all streams are constant the
-    observation is ambiguous.
+    Every color carries one distance digit per reference corner, packed
+    base 3: stream q reads distance // 3**q % 3.  Each stream is first
+    normalized to "the nearer endpoint's distance mod 3" (the stored
+    digit sits one past it, one more again when the edge runs along the
+    corner's own axis, where the lexicographic root is the farther
+    endpoint).  Between consecutive edges the nearer-end distance then
+    moves +1 when both traversals head away from the corner, -1 when
+    both head toward it, and 0 when they oppose; any unequal adjacent
+    pair pins every direction.  A stream with no unequal pair says
+    nothing, and if all streams are constant the observation is
+    ambiguous.
     """
     params = obs.params
     spec = params.lattice
@@ -229,9 +229,10 @@ def recover_signs(obs: WalkObservation, parts=None) -> list[int]:
     if parts is None:
         parts = [color_unpack(c, params) for c in obs.colors]
     for stream in range(spec.d - spec.t + 2):
+        weight = 3**stream
         ideals = []
-        for code, _, _, digits in parts:
-            dig = digits[stream]
+        for code, _, _, distance in parts:
+            dig = distance // weight % 3
             if stream > 0:
                 dig = (dig - 1 - (code == stream)) % 3
             ideals.append(dig)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 # made through verifier.assign_color and verifier.apply_step, so both
 # names stay importable from this module.
 from .colorer import _ASSIGNERS, SchemeParams, assign_color, color_walk
-from .decoder import OK, WalkObservation, decode
+from .decoder import OK, DecodeReport, WalkObservation, decode
 from .gfpoly import ceil_nth_root
 from .lattice import (
     Edge,
@@ -228,13 +228,16 @@ def ambiguity_scan(
     return ScanReport(scanned, max_len, collisions, not collisions)
 
 
+# draws random_walk makes before it gives up on a (t, length) request
+MAX_TRIES = 10_000
+
+
 def random_walk(
     params: SchemeParams,
     t: int,
     length: int,
     seed: int,
     min_distinct_edges: int = 1,
-    max_tries: int = 10_000,
 ) -> Walk:
     """Seeded walk of exactly `length` steps spanning exactly t
     orientations (directed) or axes (undirected).  Same seed, same walk.
@@ -252,7 +255,7 @@ def random_walk(
         raise ValueError("dimension t needs at least t steps")
     dims, table = spec.dims, spec.step_table
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         allowed = sorted(rng.sample(menu, t))
         if not spec.directed:
             allowed = [s for a in allowed for s in (a, -a)]
@@ -277,7 +280,7 @@ def random_walk(
         w = Walk(start, tuple(steps))
         if walk_dimension(w, spec) == t and len(edges) >= min_distinct_edges:
             return w
-    raise ValueError(f"no {t}-dimensional walk of length {length} in {max_tries} tries")
+    raise ValueError(f"no {t}-dimensional walk of length {length} in {MAX_TRIES} tries")
 
 
 def fault_inject(obs: WalkObservation, position: int, new_color: int) -> WalkObservation:
@@ -325,14 +328,8 @@ def roundtrip_campaign(
         w = random_walk(params, t, length, seed + i, min_distinct_edges)
         nodes = walk_nodes(w, spec)
         report = decode(WalkObservation(color_walk(w, params), params))
-        truth_root = min(nodes)
-        if (
-            report.status == OK
-            and report.current == nodes[-1]
-            and report.root == truth_root
-            and report.root_index == nodes.index(truth_root)
-            and report.embedding == tuple(nodes)
-        ):
+        root = min(nodes)
+        if report == DecodeReport(OK, root, nodes.index(root), nodes[-1], tuple(nodes)):
             ok += 1
         else:
             failures.append((i, w.start, w.steps, report.status))

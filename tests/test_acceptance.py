@@ -11,7 +11,7 @@ import random
 import time
 from functools import lru_cache
 
-from latticeobs.colorer import color_walk, make_scheme, palette_size
+from latticeobs.colorer import color_walk, make_scheme, palette_size, parity_group
 from latticeobs.decoder import AMBIGUOUS, WalkObservation, decode, recover_signs
 from latticeobs.decoder import recover_coef_diffs
 from latticeobs.gfpoly import FieldPrime, base_digits, ceil_nth_root, poly_eval
@@ -202,7 +202,7 @@ def test_criterion_5_digit_recovery_oracle():
     for t, cols in ((2, 4), (3, 4)):
         spec = OASpec(p, t, cols)
         tables[t] = [base_digits(i, t, p) for i in range(spec.rows)]
-        parities[t] = [tuple(a & 1 for a in c) for c in tables[t]]
+        parities[t] = [parity_group(c) for c in tables[t]]
         poly_vals[t] = [
             [poly_eval(base_digits(i, spec.t, spec.p), j, spec.p) for j in range(1, cols + 1)]
             for i in range(spec.rows)

@@ -244,6 +244,21 @@ def test_decode_aux_coloring_exits_2(tmp_path, capsys):
         assert message in err
 
 
+def test_sigma_2_is_refused_by_color_and_decode(tmp_path, capsys):
+    """Parity recovery needs an odd field prime: `color` refuses sigma 2
+    before writing, and a coloring file whose header names it is a
+    parameter error to `decode`, not an escaping exception."""
+    out = tmp_path / "f.txt"
+    code, _, err = run(capsys, "color", "--dims", "2", "--t", "1", "--sigma", "2", "--out", str(out))
+    assert code == 2
+    assert "parity recovery" in err
+    assert not out.exists()
+    out.write_text("#dims=2 directed=0 t=1 sigma=2 scheme=undir\n0 1 35\n", encoding="utf-8")
+    code, _, err = run(capsys, "decode", "--coloring", str(out), "--colors", "35,31")
+    assert code == 2
+    assert "parity recovery" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -18,7 +18,6 @@ from latticeobs.colorer import (
     make_scheme,
     oa_assign,
     palette_size,
-    parity_bits,
     parity_group,
     parse_header,
 )
@@ -38,6 +37,11 @@ def distance_digits(u, s):
     return (total % 3,) + tuple(
         (total + s.dims[q - 1] - 2 * u[q - 1]) % 3 for q in range(1, s.d - s.t + 2)
     )
+
+
+def unpacked_digits(distance, s):
+    "The base-3 digits of color_unpack's packed distance, digit 0 first."
+    return tuple(distance // 3**q % 3 for q in range(s.d - s.t + 2))
 
 
 def _edges(s):
@@ -115,6 +119,16 @@ def test_make_scheme_sigma_override():
         make_scheme(spec((9, 9), True, 2), "colord", sigma=7)  # 7^2 < 81
 
 
+def test_make_scheme_refuses_sigma_2():
+    """Decode tells coefficient differences apart by parity, which an
+    even field cannot do, so no orthogonal-array scheme takes sigma 2."""
+    with pytest.raises(ValueError, match="undir needs an odd sigma: parity recovery"):
+        make_scheme(spec((2,), False, 1), "undir", sigma=2)
+    with pytest.raises(ValueError):
+        make_scheme(spec((2,), True, 1), "colord", sigma=2)
+    assert make_scheme(spec((2,), False, 1), "undir", sigma=3).sigma.modulus == 3
+
+
 def test_palette_size_frozen():
     assert palette_size(make_scheme(spec((2, 2), True, 2), "colord")) == 80
     assert palette_size(make_scheme(spec((2, 2), False, 2), "undir", sigma=5)) == 360
@@ -127,7 +141,7 @@ def test_parity_group_roundtrip():
     assert parity_group((1, 2)) == 2
     assert parity_group((3, 1)) == 3
     for bits in itertools.product((0, 1), repeat=4):
-        assert parity_bits(parity_group(bits), 4) == bits
+        assert tuple(parity_group(bits) >> 3 - k & 1 for k in range(4)) == bits
 
 
 def test_colord_frozen_values():
@@ -141,10 +155,10 @@ def test_colord_frozen_values():
 
 def test_colord_unpack_frozen():
     params = make_scheme(spec((2, 2), True, 2), "colord")
-    code, value, parity, digits = color_unpack(7, params)
-    assert (parity, code, value, digits) == (0, 2, 2, ())
-    assert parity_bits(parity, 2) == (0, 0)
-    assert color_unpack(0, params) == (1, 0, 0, ())
+    code, value, parity, distance = color_unpack(7, params)
+    assert (parity, code, value, distance) == (0, 2, 2, 0)
+    assert parity == parity_group((0, 0))
+    assert color_unpack(0, params) == (1, 0, 0, 0)
 
 
 def test_color2_frozen_values():
@@ -154,7 +168,7 @@ def test_color2_frozen_values():
     assert assign_color(Edge(u, 3), params) == 7  # x remainder + r
     assert assign_color(Edge(u, 2), params) == 8  # y quotient + 2r
     assert assign_color(Edge(u, 4), params) == 15  # y remainder + 3r
-    assert color_unpack(7, params) == (3, 3, 0, ())
+    assert color_unpack(7, params) == (3, 3, 0, 0)
 
 
 COLOR2_SHAPES = [(2,), (7,), (4, 6), (3, 2, 2), (4, 4, 4), (2, 3, 2, 2)]
@@ -174,7 +188,7 @@ def test_color2_layout_follows_step_codes(dims):
     for code, (axis, sign, _, _) in s.step_table.items():
         block = 2 * axis + (sign < 0)
         for value in range(r):
-            assert color_unpack(block * r + value, params) == (code, value, 0, ())
+            assert color_unpack(block * r + value, params) == (code, value, 0, 0)
     for edge in _edges(s):
         axis, sign, _, _ = s.step_table[edge.code]
         quotient, remainder = divmod(edge.root[axis], r)
@@ -188,12 +202,12 @@ def test_undir_frozen_values():
     assert assign_color(Edge((0, 0), 1), params) == 240  # group 24
     c = assign_color(Edge((1, 0), 2), params)
     assert c == 167  # group 16, axis 2, array value 2
-    code, value, parity, digits = color_unpack(c, params)
-    assert parity | (digits[0] + 3 * digits[1]) << 2 == 16
+    code, value, parity, distance = color_unpack(c, params)
+    assert parity | distance << 2 == 16
     assert code == 2
     assert value == 2
-    assert parity_bits(parity, 2) == (0, 0)
-    assert digits == (1, 1)
+    assert parity == parity_group((0, 0))
+    assert distance == 1 + 3 * 1
 
 
 def test_assign_rejects_bad_edges():
@@ -230,16 +244,16 @@ def test_unpack_inverts_assign(params):
     for edge in _edges(s):
         c = assign_color(edge, params)
         assert 0 <= c < palette_size(params)
-        code, _, parity, digits = color_unpack(c, params)
+        code, _, parity, distance = color_unpack(c, params)
         assert code == edge.code
         if params.kind != "color2":
             from latticeobs.gfpoly import base_digits
             from latticeobs.lattice import rank
 
             coeffs = base_digits(rank(edge.root, s), s.t, params.sigma)
-            assert parity_bits(parity, s.t) == tuple(a & 1 for a in coeffs)
+            assert parity == parity_group(coeffs)
         if params.kind == "undir":
-            assert digits == distance_digits(edge.root, s)
+            assert unpacked_digits(distance, s) == distance_digits(edge.root, s)
 
 
 @pytest.mark.parametrize("params", ROUNDTRIP_SCHEMES, ids=lambda p: p.kind)
@@ -247,14 +261,14 @@ def test_unpack_inverts_every_palette_color(params):
     "Every color of the palette, emitted or not, re-packs from its parts."
     t = params.lattice.t
     for c in range(palette_size(params)):
-        code, value, parity, digits = color_unpack(c, params)
+        code, value, parity, distance = color_unpack(c, params)
         if params.kind == "color2":
             # blocks hold x-quotient, x-remainder, y-quotient, y-remainder
-            assert (parity, digits) == (0, ())
+            assert (parity, distance) == (0, 0)
             assert (1, 3, 2, 4).index(code) * params.group_size + value == c
             continue
-        assert len(digits) == (params.lattice.d - t + 2 if params.kind == "undir" else 0)
-        group = parity | sum(d * 3**q for q, d in enumerate(digits)) << t
+        assert distance < 3 ** (params.lattice.d - t + 2 if params.kind == "undir" else 0)
+        group = parity | distance << t
         m = params.sigma.modulus
         assert 0 <= value < m
         assert group * params.group_size + (code - 1) * m + value == c
@@ -290,7 +304,7 @@ def test_mod3_is_corner_distance():
         corners = [(0,) * s.d]
         corners += [tuple(n - 1 if a == q else 0 for a, n in enumerate(dims)) for q in range(s.d)]
         for edge in _edges(s):
-            digits = color_unpack(assign_color(edge, params), params)[3]
+            digits = unpacked_digits(color_unpack(assign_color(edge, params), params)[3], s)
             assert len(digits) == len(corners)
             for q, corner in enumerate(corners):
                 dist = sum(abs(a - b) for a, b in zip(edge.root, corner))
@@ -303,7 +317,7 @@ def test_mod3_adjacent_roots_never_tie():
     params = make_scheme(s, "undir")
 
     def digit0(edge):
-        return color_unpack(assign_color(edge, params), params)[3][0]
+        return color_unpack(assign_color(edge, params), params)[3] % 3
 
     for edge in _edges(s):
         u, v = edge_endpoints(edge, s)
@@ -322,7 +336,7 @@ def test_distance_digits_match_aux_coloring():
     for edge in _edges(s):
         aux = [sum(abs(a - b) for a, b in zip(edge.root, c)) % 3 for c in corners]
         digits = distance_digits(edge.root, s)
-        assert digits == color_unpack(assign_color(edge, params), params)[3]
+        assert digits == unpacked_digits(color_unpack(assign_color(edge, params), params)[3], s)
         assert digits[0] == aux[0]
         for q in (1, 2):
             assert digits[q] == (aux[q] + 1) % 3
@@ -551,6 +565,33 @@ def test_odometer_export_golden():
             h.update(line.encode("utf-8") + b"\n")
         digests[label] = h.hexdigest()
     assert digests == ODOMETER_DIGESTS
+
+
+def test_export_carries_recolor_nothing(monkeypatch):
+    """A carry evaluates the row's entries and parities from its digits:
+    export never calls oa_assign, and every line still equals the
+    validating per-edge assignment."""
+    import latticeobs.colorer as colorer
+
+    calls = 0
+    real = colorer.oa_assign
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(colorer, "oa_assign", counted)
+    for params in (
+        make_scheme(spec((9, 9, 9), False, 3), "undir"),
+        make_scheme(spec((8, 8, 8), True, 3), "colord"),
+    ):
+        lines = list(coloring_lines(params))
+        assert calls == 0, lines[0]
+        edges = _edges(params.lattice)
+        assert len(lines) == 1 + len(edges)
+        for line, edge in zip(lines[1:], edges):
+            assert line == f"{','.join(map(str, edge.root))} {edge.code} {assign_color(edge, params)}"
 
 
 def test_header_roundtrip():

@@ -7,7 +7,14 @@ import random
 import pytest
 
 from latticeobs import decoder, gfpoly
-from latticeobs.colorer import assign_color, color_unpack, color_walk, make_scheme, palette_size
+from latticeobs.colorer import (
+    assign_color,
+    color_unpack,
+    color_walk,
+    make_scheme,
+    palette_size,
+    parity_group,
+)
 from latticeobs.decoder import (
     AMBIGUOUS,
     INVALID,
@@ -66,29 +73,28 @@ def test_observation_rejects_empty():
 
 
 def test_recover_coef_diffs_frozen():
-    assert recover_coef_diffs(1, (1, 1), (1, 0), 2, P5) == (0, 1)
-    assert recover_coef_diffs(1, (1, 0), (0, 0), 2, P5) == (1, -4)
-    assert recover_coef_diffs(0, (1, 1), (1, 1), 2, P5) == (0, 0)
-    assert recover_coef_diffs(24, (0, 0), (0, 0), 2, P5) == (4, 4)
+    # parities packed as parity_group packs them: 0b10 is (1, 0)
+    assert recover_coef_diffs(1, 0b11, 0b10, 2, P5) == (0, 1)
+    assert recover_coef_diffs(1, 0b10, 0b00, 2, P5) == (1, -4)
+    assert recover_coef_diffs(0, 0b11, 0b11, 2, P5) == (0, 0)
+    assert recover_coef_diffs(24, 0b00, 0b00, 2, P5) == (4, 4)
     # digits reconstruct the gap with the demanded parities
-    deltas = recover_coef_diffs(16, (1, 0), (0, 1), 2, P5)
+    deltas = recover_coef_diffs(16, 0b10, 0b01, 2, P5)
     assert deltas == (3, 1)
     assert deltas[0] * 5 + deltas[1] == 16
 
 
 def test_recover_coef_diffs_validation():
     with pytest.raises(ValueError):
-        recover_coef_diffs(1, (1, 1), (1, 0), 2, FieldPrime(2))  # even field
-    with pytest.raises(ValueError):
-        recover_coef_diffs(1, (1,), (1, 0), 2, P5)  # arity
+        recover_coef_diffs(1, 0b11, 0b10, 2, FieldPrime(2))  # even field
     with pytest.raises(ObservationError):
-        recover_coef_diffs(-1, (0, 0), (0, 0), 2, P5)
+        recover_coef_diffs(-1, 0b00, 0b00, 2, P5)
     with pytest.raises(ObservationError):
         # an odd digit cannot absorb a zero remainder at the bottom
-        recover_coef_diffs(0, (0, 1), (0, 0), 2, P5)
+        recover_coef_diffs(0, 0b01, 0b00, 2, P5)
     with pytest.raises(ObservationError):
         # leftover gap after all digits are spent
-        recover_coef_diffs(24, (1, 0), (0, 0), 2, P5)
+        recover_coef_diffs(24, 0b10, 0b00, 2, P5)
 
 
 @pytest.mark.parametrize("t,modulus", [(1, 5), (2, 5), (3, 5), (2, 7)])
@@ -97,7 +103,7 @@ def test_recover_coef_diffs_exhaustive(t, modulus):
     p = FieldPrime(modulus)
     rows = modulus**t
     table = [base_digits(i, t, p) for i in range(rows)]
-    parities = [tuple(a & 1 for a in c) for c in table]
+    parities = [parity_group(c) for c in table]
     for hi in range(rows):
         for lo in range(hi + 1):
             want = tuple(a - b for a, b in zip(table[hi], table[lo]))

@@ -477,9 +477,9 @@ def test_random_walk_validation():
     with pytest.raises(ValueError):
         random_walk(params, t=5, length=5, seed=0)  # no such orientation count
     tiny = make_scheme(spec((2, 2), True, 1), "colord")
-    with pytest.raises(ValueError):
-        # one orientation cannot take 3 steps on an axis of length 2
-        random_walk(tiny, t=1, length=3, seed=0, max_tries=50)
+    # one orientation cannot take 3 steps on an axis of length 2
+    with pytest.raises(ValueError, match="no 1-dimensional walk of length 3 in 10000 tries"):
+        random_walk(tiny, t=1, length=3, seed=0)
 
 
 def test_fault_inject():
