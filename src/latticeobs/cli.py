@@ -31,8 +31,6 @@ from .lattice import LatticeSpec
 from .oarray import OASpec, oa_validate
 from .verifier import MAX_SCAN_LEN, ambiguity_scan, lower_bound_colors, roundtrip_campaign
 
-DIRECTED_KINDS = ("colord", "color2")
-
 
 def _parse_dims(args) -> tuple[int, ...]:
     if args.dims and (args.n, args.d) != (None, None):
@@ -48,12 +46,9 @@ def _parse_dims(args) -> tuple[int, ...]:
 
 
 def _make_params(args):
-    dims = _parse_dims(args)
-    kind = args.scheme
-    directed = args.directed or kind in DIRECTED_KINDS
-    if kind is None:
-        kind = "colord" if directed else "undir"
-    spec = LatticeSpec(dims, directed, args.t)
+    directed = args.directed or KINDS.get(args.scheme, False)
+    kind = args.scheme or ("colord" if directed else "undir")
+    spec = LatticeSpec(_parse_dims(args), directed, args.t)
     return make_scheme(spec, kind, sigma=args.sigma)
 
 
@@ -73,18 +68,27 @@ def _newline_chunks(lines):
 
 
 def _write_atomic(path: str, lines) -> None:
+    """Write the lines to a temp file beside path, then rename it over
+    path.  A directory, or a path ending in a separator, is refused
+    before anything is written, and an OSError names path, never the
+    temp file."""
     target = os.path.abspath(path)
-    tmp = os.path.join(os.path.dirname(target), f".latticeobs-{os.urandom(8).hex()}")
-    # "x" never takes an existing name; the mode is 0o666 less the umask, as open() gives
-    fh = open(tmp, "x", encoding="utf-8", newline="\n")
     try:
-        with fh:
-            fh.writelines(_newline_chunks(lines))
-        os.replace(tmp, target)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+        if not os.path.basename(path) or os.path.isdir(target):
+            raise IsADirectoryError("Is a directory")
+        tmp = os.path.join(os.path.dirname(target), f".latticeobs-{os.urandom(8).hex()}")
+        # "x" never takes an existing name; the mode is 0o666 less the umask, as open() gives
+        fh = open(tmp, "x", encoding="utf-8", newline="\n")
+        try:
+            with fh:
+                fh.writelines(_newline_chunks(lines))
+            os.replace(tmp, target)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(f"cannot write --out {path}: {exc.strerror or exc}") from exc
 
 
 def cmd_color(args) -> int:

@@ -13,7 +13,7 @@ into (code, value, parity, distance): the group's two fields stay
 packed ints, the low t bits and the base-3 digits above them, and the
 decoder reads single bits and digits off them where it needs them.
 
-Kinds:
+Kinds, each keyed in KINDS to whether its lattice must be directed:
   colord    directed lattices, any t up to 2d
   color2    directed lattices, t = 2d; block 2 * axis + down holds a root
             coordinate's quotient (up edge) or remainder (down edge)
@@ -23,7 +23,7 @@ Every kind has a decoder, and a coloring file's header names its
 parameters exactly: parse_header accepts only what format_header writes.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .gfpoly import FieldPrime, base_digits, ceil_nth_root, next_prime_above, poly_eval
@@ -32,21 +32,50 @@ from .gfpoly import FieldPrime, base_digits, ceil_nth_root, next_prime_above, po
 from .lattice import Edge, LatticeSpec, Walk, edge_endpoints, in_bounds, rank, unrank
 from .oarray import OASpec
 
-KINDS = ("colord", "color2", "undir")
+# scheme kind -> whether it colors a directed lattice
+KINDS = {"colord": True, "color2": True, "undir": False}
 
 
 @dataclass(frozen=True)
 class SchemeParams:
+    """A scheme that checks itself and derives its layout.  sigma None
+    picks default_sigma (color2 takes none); an int becomes a FieldPrime
+    after the kind's checks, so a request wrong in both names the kind."""
+
     lattice: LatticeSpec
     kind: str
-    sigma: FieldPrime | None
-    group_count: int
-    group_size: int
+    sigma: FieldPrime | None = None
+    group_count: int = field(init=False)
+    group_size: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        spec, kind, p = self.lattice, self.kind, self.sigma
+        if kind not in KINDS:
+            raise ValueError(f"unknown scheme kind {kind!r}")
+        d, t = spec.d, spec.t
+        if kind == "color2":
+            if not spec.directed or t != spec.codes:
+                raise ValueError(f"color2 needs a directed lattice with t={2 * d}")
+            if p is not None:
+                raise ValueError("color2 uses no field prime")
+            groups, size = spec.codes, ceil_nth_root(max(spec.dims), 2)
+        else:
+            if spec.directed != KINDS[kind]:
+                raise ValueError(f"{kind} needs {'a ' if KINDS[kind] else 'an un'}directed lattice")
+            if not isinstance(p, FieldPrime):
+                p = default_sigma(spec) if p is None else FieldPrime(p)
+            if p.modulus <= spec.codes or p.modulus**t < spec.size:
+                raise ValueError(f"sigma {p.modulus} too small for this lattice")
+            if p.modulus == 2:
+                raise ValueError(f"{kind} needs an odd sigma: parity recovery cannot work mod 2")
+            groups = 2**t if kind == "colord" else 2**t * 3 ** (d - t + 2)
+            size = spec.codes * p.modulus
+        object.__setattr__(self, "sigma", p)
+        object.__setattr__(self, "group_count", groups)
+        object.__setattr__(self, "group_size", size)
 
     @cached_property
-    def oa(self) -> OASpec | None:
-        if self.sigma is None:
-            return None
+    def oa(self) -> OASpec:
         return OASpec(self.sigma, self.lattice.t, self.lattice.codes)
 
     @cached_property
@@ -63,26 +92,8 @@ def default_sigma(spec: LatticeSpec) -> FieldPrime:
 
 
 def make_scheme(spec: LatticeSpec, kind: str, sigma: int | None = None) -> SchemeParams:
-    if kind not in KINDS:
-        raise ValueError(f"unknown scheme kind {kind!r}")
-    d, t = spec.d, spec.t
-    if kind == "color2":
-        if not spec.directed or t != spec.codes:
-            raise ValueError(f"color2 needs a directed lattice with t={2 * d}")
-        if sigma is not None:
-            raise ValueError("color2 uses no field prime")
-        return SchemeParams(spec, kind, None, spec.codes, ceil_nth_root(max(spec.dims), 2))
-    if kind == "colord" and not spec.directed:
-        raise ValueError("colord needs a directed lattice")
-    if kind == "undir" and spec.directed:
-        raise ValueError("undir needs an undirected lattice")
-    p = default_sigma(spec) if sigma is None else FieldPrime(sigma)
-    if p.modulus <= spec.codes or p.modulus**t < spec.size:
-        raise ValueError(f"sigma {p.modulus} too small for this lattice")
-    if p.modulus == 2:
-        raise ValueError(f"{kind} needs an odd sigma: parity recovery cannot work mod 2")
-    groups = 2**t if kind == "colord" else 2**t * 3 ** (d - t + 2)
-    return SchemeParams(spec, kind, p, groups, spec.codes * p.modulus)
+    """SchemeParams for an int field prime, or None for the default."""
+    return SchemeParams(spec, kind, sigma)
 
 
 def palette_size(params: SchemeParams) -> int:
@@ -161,9 +172,7 @@ def assign_color(edge: Edge, params: SchemeParams) -> int:
     """Color one edge under the scheme, validating the edge first."""
     spec = params.lattice
     root, _ = edge_endpoints(edge, spec)
-    # only the orthogonal-array kinds read the root's rank
-    r = rank(root, spec) if params.sigma else None
-    return _ASSIGNERS[params.kind](root, r, edge.code, params)
+    return _ASSIGNERS[params.kind](root, rank(root, spec), edge.code, params)
 
 
 def color_unpack(c: int, params: SchemeParams) -> tuple:

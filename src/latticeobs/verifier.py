@@ -129,8 +129,7 @@ def ambiguity_scan(
     # the number of distinct colors, at most one per edge id and so below
     # B: no digit is 0, and sequences of any lengths get distinct keys.
     B = spec.size * n_codes + 1
-    ids: dict = {}  # color -> dense id
-    palette = [None]  # dense id -> color
+    ids: dict = {}  # color -> dense id, in first-seen order
     coded: dict[int, int] = {}  # edge id -> dense id of its color
     successors: dict[int, list] = {}
     ends: dict[int, int] = {}  # coded sequence -> first end rank
@@ -150,11 +149,7 @@ def ambiguity_scan(
             cid = coded.get(edge)
             if cid is None:
                 color = assign(root, root_rank, code, params)
-                cid = ids.get(color)
-                if cid is None:
-                    cid = ids[color] = len(palette)
-                    palette.append(color)
-                coded[edge] = cid
+                cid = coded[edge] = ids.setdefault(color, len(ids) + 1)
             out.append((nxt, edge, cid, 1 << code))
         successors[r] = out
         return out
@@ -211,6 +206,7 @@ def ambiguity_scan(
 
     for r in range(spec.size):
         extend(r, 1, 0, None, 0)
+    palette = (None, *ids) if clashes else ()  # dense id -> color
 
     def colors(key):
         seq = []

@@ -118,6 +118,23 @@ def test_color_never_takes_over_an_existing_temp_name(tmp_path, capsys, monkeypa
     assert list(tmp_path.iterdir()) == [taken]
 
 
+@pytest.mark.parametrize("out", [".", "new/", "missing/x.txt"])
+def test_color_out_errors_name_the_given_path(tmp_path, capsys, monkeypatch, out):
+    """A directory --out, or one ending in a separator, is refused before
+    anything is written, and an I/O error names the --out given, never
+    the temp file; exit 1."""
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    code, stdout, err = run(capsys, "color", "--dims", "3x3", "--t", "2", "--out", out)
+    assert code == 1
+    assert stdout == ""
+    assert f"--out {out}:" in err
+    assert ".latticeobs-" not in err
+    assert list(tmp_path.iterdir()) == [work]
+    assert not list(work.iterdir())
+
+
 def test_color_output_is_byte_identical_across_runs(tmp_path, capsys):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     for path in (a, b):
@@ -328,7 +345,7 @@ def test_every_kind_colors_decodes_and_is_a_cli_choice():
                 pending += action.choices.values()
             elif "--scheme" in action.option_strings:
                 choices.append(tuple(action.choices))
-    assert choices == [colorer.KINDS] * 4  # color, roundtrip, scan, bound
+    assert choices == [tuple(colorer.KINDS)] * 4  # color, roundtrip, scan, bound
 
 
 def test_verify_roundtrip_ok(capsys):

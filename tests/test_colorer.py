@@ -1,5 +1,6 @@
 """Coloring schemes: assignment, packing, palette accounting, export."""
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -21,7 +22,7 @@ from latticeobs.colorer import (
     parity_group,
     parse_header,
 )
-from latticeobs.gfpoly import base_digits, poly_eval
+from latticeobs.gfpoly import FieldPrime, base_digits, poly_eval
 from latticeobs.lattice import Edge, LatticeSpec, Walk, edge_endpoints, rank, unrank, walk_nodes
 
 
@@ -127,6 +128,59 @@ def test_make_scheme_refuses_sigma_2():
     with pytest.raises(ValueError):
         make_scheme(spec((2,), True, 1), "colord", sigma=2)
     assert make_scheme(spec((2,), False, 1), "undir", sigma=3).sigma.modulus == 3
+
+
+# every refusal of a well-formed request: (spec, kind, sigma, message)
+SCHEME_REFUSALS = [
+    (((4, 4), True, 2), "rainbow", None, "unknown scheme kind 'rainbow'"),
+    (((4, 4), False, 2), "color2", None, "color2 needs a directed lattice with t=4"),
+    (((4, 4), True, 2), "color2", None, "color2 needs a directed lattice with t=4"),
+    (((4, 4), True, 4), "color2", 5, "color2 uses no field prime"),
+    (((4, 4), False, 2), "colord", None, "colord needs a directed lattice"),
+    (((4, 4), True, 2), "undir", None, "undir needs an undirected lattice"),
+    (((9, 9), True, 2), "colord", 7, "sigma 7 too small for this lattice"),
+    (((2, 2), False, 2), "undir", 2, "sigma 2 too small for this lattice"),
+    (((2,), False, 1), "undir", 2, "undir needs an odd sigma: parity recovery cannot work mod 2"),
+]
+
+
+@pytest.mark.parametrize("dims_directed_t,kind,sigma,message", SCHEME_REFUSALS)
+def test_scheme_params_refuses_what_make_scheme_refuses(dims_directed_t, kind, sigma, message):
+    """SchemeParams itself makes every refusal, with make_scheme's message."""
+    s = spec(*dims_directed_t)
+    for build in (
+        lambda: SchemeParams(s, kind, None if sigma is None else FieldPrime(sigma)),
+        lambda: make_scheme(s, kind, sigma),
+    ):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("dims_directed_t,kind,sigma,message", [
+    (((4, 4), True, 4), "color2", 4, "color2 uses no field prime"),
+    (((4, 4), True, 2), "rainbow", 4, "unknown scheme kind 'rainbow'"),
+    (((4, 4), False, 2), "colord", 9, "colord needs a directed lattice"),
+    (((4, 4), False, 2), "undir", 4, "4 is not prime"),
+])
+def test_int_sigma_is_checked_after_the_kind(dims_directed_t, kind, sigma, message):
+    """An int sigma is checked prime only after the kind's own checks, so
+    a request wrong in both ways names the kind's fault first."""
+    with pytest.raises(ValueError) as exc:
+        make_scheme(spec(*dims_directed_t), kind, sigma)
+    assert str(exc.value) == message
+
+
+def test_scheme_params_takes_lattice_kind_sigma_and_derives_the_rest():
+    fields = dataclasses.fields(SchemeParams)
+    assert [f.name for f in fields if f.init] == ["lattice", "kind", "sigma"]
+    assert [f.name for f in fields if not f.init] == ["group_count", "group_size"]
+    s = spec((5, 5), True, 2)
+    with pytest.raises(TypeError):
+        SchemeParams(s, "colord", FieldPrime(7), 4, 27)
+    params = SchemeParams(s, "colord")
+    assert params == make_scheme(s, "colord", 7)
+    assert (params.sigma.modulus, params.group_count, params.group_size) == (7, 4, 28)
 
 
 def test_palette_size_frozen():

@@ -11,8 +11,9 @@ import hashlib
 import random
 from collections import Counter
 
-from latticeobs.colorer import color_walk, coloring_lines, make_scheme, palette_size
+from latticeobs.colorer import SchemeParams, color_walk, coloring_lines, make_scheme, palette_size
 from latticeobs.decoder import WalkObservation, decode
+from latticeobs.gfpoly import FieldPrime
 from latticeobs.lattice import LatticeSpec, Walk
 from latticeobs.verifier import fault_inject, random_walk
 
@@ -133,3 +134,18 @@ def test_decode_reports_golden():
     assert statuses == SWEEP_STATUSES
     assert set(statuses) == {"ok", "invalid", "ambiguous"}
     assert digest == SWEEP_DIGEST
+
+
+def test_scheme_params_builds_every_golden_scheme():
+    """Each golden scheme built by SchemeParams directly equals the one
+    make_scheme builds, with the default sigma and with that sigma given."""
+    configs = list(COLORING_CONFIGS) + [c[:4] for c in SWEEP_CONFIGS]
+    for dims, directed, t, kind in configs:
+        spec = LatticeSpec(dims, directed, t)
+        default = make_scheme(spec, kind)
+        s = default.sigma.modulus if default.sigma else None
+        for sigma in (None, s):
+            want = make_scheme(spec, kind, sigma)
+            got = SchemeParams(spec, kind, None if sigma is None else FieldPrime(sigma))
+            assert got == want == default
+            assert repr(got) == repr(want)
