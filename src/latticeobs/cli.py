@@ -33,16 +33,12 @@ from .verifier import MAX_SCAN_LEN, ambiguity_scan, lower_bound_colors, roundtri
 
 
 def _parse_dims(args) -> tuple[int, ...]:
-    if args.dims and (args.n, args.d) != (None, None):
-        raise ValueError("give either --dims or --n/--d, not both")
-    if args.dims:
-        try:
-            return tuple(int(part) for part in args.dims.split("x"))
-        except ValueError:
-            raise ValueError(f"bad --dims {args.dims!r}; expected like 4x6x5") from None
-    if None in (args.n, args.d):
-        raise ValueError("lattice shape required: --dims n1xn2x... or --n N --d D")
-    return (args.n,) * args.d
+    if not args.dims:
+        raise ValueError("lattice shape required: --dims n1xn2x...")
+    try:
+        return tuple(int(part) for part in args.dims.split("x"))
+    except ValueError:
+        raise ValueError(f"bad --dims {args.dims!r}; expected like 4x6x5") from None
 
 
 def _make_params(args):
@@ -53,7 +49,7 @@ def _make_params(args):
 
 
 def _default_length(spec: LatticeSpec) -> int:
-    if spec.t == 1:
+    if spec.directed and spec.t == 1:
         return min(min(spec.dims) - 1, 5)
     return spec.t + 4
 
@@ -119,14 +115,11 @@ def cmd_decode(args) -> int:
 
 def cmd_verify_roundtrip(args) -> int:
     params = _make_params(args)
-    length = _default_length(params.lattice) if args.length is None else args.length
+    spec = params.lattice
+    length = _default_length(spec) if args.length is None else args.length
+    # no coloring places an undirected walk that never leaves one edge
     report = roundtrip_campaign(
-        params,
-        params.lattice.t,
-        args.walks,
-        length,
-        args.seed,
-        min_distinct_edges=args.min_distinct_edges,
+        params, spec.t, args.walks, length, args.seed, 1 if spec.directed else 2
     )
     print(report.lines())
     return 0 if report.ok == report.total else 1
@@ -135,13 +128,7 @@ def cmd_verify_roundtrip(args) -> int:
 def cmd_verify_scan(args) -> int:
     params = _make_params(args)
     t_min = params.lattice.t if args.t_min is None else args.t_min
-    report = ambiguity_scan(
-        params,
-        args.max_len,
-        t_min,
-        budget=args.budget,
-        exclude_single_edge=args.exclude_single_edge,
-    )
+    report = ambiguity_scan(params, args.max_len, t_min, budget=args.budget)
     verdict = "ok" if report.ok else "collisions"
     print(f"scanned={report.scanned} collisions={len(report.collisions)} verdict={verdict}")
     return 0 if report.ok else 1
@@ -168,8 +155,6 @@ def cmd_verify_bound(args) -> int:
 
 def _add_lattice_args(p: argparse.ArgumentParser):
     p.add_argument("--dims", help="axis lengths, like 4x6x5")
-    p.add_argument("--n", type=int, help="axis length of a cubic lattice (with --d)")
-    p.add_argument("--d", type=int, help="dimension count for --n")
     p.add_argument("--directed", action="store_true", help="directed edges")
     p.add_argument("--t", type=int, required=True, help="target walk dimension")
     p.add_argument("--scheme", choices=KINDS, help="coloring scheme")
@@ -205,20 +190,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_rt.add_argument("--walks", type=int, default=1000)
     p_rt.add_argument("--seed", type=int, default=0)
     p_rt.add_argument("--length", type=int,
-                      help="walk length (default t+4; at t=1, min(min(dims) - 1, 5))")
-    p_rt.add_argument("--min-distinct-edges", dest="min_distinct_edges", type=int, default=1)
+                      help="walk length (default t+4; directed t=1: min(min(dims) - 1, 5)); "
+                           "undirected walks cross at least two edges")
     p_rt.set_defaults(func="cmd_verify_roundtrip")
 
-    p_scan = vsub.add_parser("scan", help="exhaustive collision scan")
+    p_scan = vsub.add_parser(
+        "scan", help="exhaustive collision scan (undirected: walks on one edge not grouped)"
+    )
     _add_lattice_args(p_scan)
     p_scan.add_argument("--max-len", dest="max_len", type=int, required=True,
                         help=f"longest walk to scan, at most {MAX_SCAN_LEN} (more exits 2)")
     p_scan.add_argument("--t-min", dest="t_min", type=int,
                         help="minimum walk dimension to group (default: t)")
     p_scan.add_argument("--budget", type=int, default=5_000_000)
-    p_scan.add_argument("--exclude-single-edge", dest="exclude_single_edge",
-                        action="store_true",
-                        help="skip walks that re-cross a single edge")
     p_scan.set_defaults(func="cmd_verify_scan")
 
     p_oa = vsub.add_parser("oa", help="orthogonal-array projection check")

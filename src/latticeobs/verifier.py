@@ -71,7 +71,6 @@ def ambiguity_scan(
     max_len: int,
     t_min: int,
     budget: int = 5_000_000,
-    exclude_single_edge: bool = False,
     color_fn=None,
 ) -> ScanReport:
     """Enumerate every walk of length <= max_len; group the ones of
@@ -81,10 +80,12 @@ def ambiguity_scan(
     anything else would group no walk and check nothing.  max_len above
     MAX_SCAN_LEN is refused before any walk is built.
 
-    exclude_single_edge drops walks that keep re-crossing one edge
-    (undirected schemes leave those ambiguous by design).  color_fn
-    overrides the scheme's assigner, e.g. to show a broken coloring
-    collides; it receives each edge as an Edge.
+    On an undirected lattice a walk that never leaves one edge is never
+    grouped: it crosses the same color whichever end it starts from, so
+    no coloring can place it.  On a directed lattice such a walk has one
+    step and is grouped like any other.  color_fn overrides the scheme's
+    assigner, e.g. to show a broken coloring collides; it receives each
+    edge as an Edge.
 
     The search runs on node ranks.  The first time it reaches a node it
     builds the node's successor list, one (next rank, edge id, color id,
@@ -157,7 +158,8 @@ def ambiguity_scan(
     def extend(r, depth, seq, lone, used):
         # seq: the walk's coded sequence times B, so a step adds its id;
         # lone: the one edge the walk has kept to, None before its first
-        # step, -1 once it has used two; used: the walk's code bits
+        # step, -1 once it has used two or on a directed lattice, where
+        # every walk is grouped; used: the walk's code bits
         nonlocal scanned
         succ = successors.get(r)
         if succ is None:
@@ -171,7 +173,7 @@ def ambiguity_scan(
             one = edge if lone is None or lone == edge else -1
             mask = used | bit
             codes = mask.bit_count()
-            if codes >= t_min and not (exclude_single_edge and one >= 0):
+            if codes >= t_min and one < 0:
                 first = ends.setdefault(walk, nxt)
                 if first != nxt:
                     clashes.setdefault(walk, {first}).add(nxt)
@@ -191,21 +193,20 @@ def ambiguity_scan(
             if codes + 1 < t_min:
                 continue
             # skip a last step on a code the walk has used while it still
-            # needs one more, or back over the one edge of a single-edge
-            # walk when those are excluded
+            # needs one more, or back over the one edge of a single-edge walk
             reused = mask if codes < t_min else 0
-            stay = one if exclude_single_edge else -1
             walk *= B
             for end, last_edge, last_cid, last_bit in last:
-                if last_bit & reused or last_edge == stay:
+                if last_bit & reused or last_edge == one:
                     continue
                 key = walk + last_cid
                 first = ends.setdefault(key, end)
                 if first != end:
                     clashes.setdefault(key, {first}).add(end)
 
+    lone = -1 if spec.directed else None
     for r in range(spec.size):
-        extend(r, 1, 0, None, 0)
+        extend(r, 1, 0, lone, 0)
     palette = (None, *ids) if clashes else ()  # dense id -> color
 
     def colors(key):

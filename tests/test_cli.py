@@ -155,16 +155,6 @@ def test_color_scheme_implies_directedness(tmp_path, capsys):
     assert "directed=1" in out.read_text(encoding="utf-8").splitlines()[0]
 
 
-def test_color_cubic_shorthand(tmp_path, capsys):
-    out = tmp_path / "c.txt"
-    code, stdout, _ = run(
-        capsys, "color", "--n", "4", "--d", "2", "--directed", "--t", "4",
-        "--scheme", "colord", "--out", str(out),
-    )
-    assert code == 0
-    assert "#dims=4x4 " in out.read_text(encoding="utf-8").splitlines()[0]
-
-
 def make_coloring(tmp_path, *argv):
     path = tmp_path / "coloring.txt"
     assert main(["color", *argv, "--out", str(path)]) == 0
@@ -280,7 +270,7 @@ def test_sigma_2_is_refused_by_color_and_decode(tmp_path, capsys):
     "argv",
     [
         ("color", "--dims", "3x3", "--t", "5", "--scheme", "undir", "--out", "x"),
-        ("color", "--dims", "4x4", "--n", "4", "--d", "2", "--t", "2", "--out", "x"),
+        ("color", "--dims", "4x4x", "--t", "2", "--out", "x"),
         ("color", "--dims", "4a4", "--t", "2", "--out", "x"),
         ("color", "--t", "2", "--out", "x"),
         ("color", "--dims", "4x4", "--t", "2", "--scheme", "color2", "--out", "x"),
@@ -292,9 +282,9 @@ def test_sigma_2_is_refused_by_color_and_decode(tmp_path, capsys):
         ("verify", "roundtrip", "--dims", "3x3", "--directed", "--t", "2", "--walks", "0"),
         ("verify", "scan", "--dims", "3x3", "--directed", "--t", "2", "--max-len", "5000"),
         ("verify", "scan", "--dims", "2", "--t", "1", "--max-len", "2000", "--budget", "100000"),
-        ("color", "--dims", "4x4", "--n", "0", "--t", "2", "--out", "x"),
-        ("color", "--n", "0", "--d", "2", "--t", "2", "--out", "x"),
-        ("color", "--n", "5", "--d", "0", "--t", "2", "--out", "x"),
+        ("color", "--dims", "4x1", "--t", "2", "--out", "x"),
+        ("color", "--dims", "0x0", "--t", "2", "--out", "x"),
+        ("color", "--dims", "5x-1", "--t", "2", "--out", "x"),
         ("verify", "roundtrip", "--dims", "3x3", "--directed", "--t", "2", "--walks", "2", "--length", "0"),
         ("verify", "scan", "--dims", "3x3", "--directed", "--t", "2", "--max-len", "3", "--t-min", "0"),
     ],
@@ -305,28 +295,20 @@ def test_parameter_errors_exit_2(argv, capsys):
     assert "error:" in err
 
 
-@pytest.mark.parametrize(
-    "shape,message",
-    [
-        (("--dims", "4x4", "--n", "0"), "give either --dims or --n/--d, not both"),
-        (("--dims", "4x4", "--d", "0"), "give either --dims or --n/--d, not both"),
-        (("--n", "0", "--d", "2"), "dims (0, 0): need at least one axis, each of length >= 2"),
-        (("--n", "5", "--d", "0"), "dims (): need at least one axis, each of length >= 2"),
-        (("--n", "5"), "lattice shape required"),
-    ],
-)
-def test_cube_shorthand_errors_name_the_value(shape, message, capsys):
-    "--n and --d are tested for presence, not truth, so a zero is named as the bad value."
-    code, _, err = run(capsys, "verify", "bound", "--t", "1", *shape)
-    assert code == 2
-    assert message in err
-
-
 def test_unknown_flag_is_argparse_error(tmp_path):
+    "Retired flags among them: --origin-index, --n/--d, --exclude-single-edge, --min-distinct-edges."
     out = str(tmp_path / "c.txt")
-    for extra in (["--frobnicate"], ["--origin-index", "3"], ["--scheme", "mod3-aux"]):
+    color = ["color", "--t", "2", "--out", out]
+    for argv in (
+        [*color, "--dims", "4x4", "--frobnicate"],
+        [*color, "--dims", "4x4", "--origin-index", "3"],
+        [*color, "--dims", "4x4", "--scheme", "mod3-aux"],
+        [*color, "--n", "4", "--d", "2"],
+        ["verify", "scan", "--dims", "3x3", "--t", "1", "--max-len", "2", "--exclude-single-edge"],
+        ["verify", "roundtrip", "--dims", "3x3", "--t", "1", "--min-distinct-edges", "2"],
+    ):
         with pytest.raises(SystemExit) as exc:
-            main(["color", "--dims", "4x4", "--t", "2", "--out", out, *extra])
+            main(argv)
         assert exc.value.code == 2
     assert not list(tmp_path.iterdir())
 
@@ -358,7 +340,7 @@ def test_verify_roundtrip_ok(capsys):
 
 
 def test_verify_roundtrip_t1_default_length(capsys):
-    "At t = 1 the default walk length is min(shortest axis - 1, 5)."
+    "At directed t = 1 the default walk length is min(shortest axis - 1, 5)."
     code, stdout, _ = run(
         capsys, "verify", "roundtrip", "--dims", "3x5", "--directed",
         "--t", "1", "--walks", "20",
@@ -373,11 +355,26 @@ def test_verify_roundtrip_t1_default_length(capsys):
 def test_verify_roundtrip_undirected_default_scheme(capsys):
     code, stdout, _ = run(
         capsys, "verify", "roundtrip", "--dims", "4x4", "--t", "2",
-        "--walks", "10", "--seed", "2", "--min-distinct-edges", "2",
+        "--walks", "10", "--seed", "2",
     )
     assert code == 0
     assert "scheme=undir" in stdout
     assert stdout.strip().endswith("ok=10/10")
+
+
+def test_verify_roundtrip_undirected_t1_walks_cross_two_edges(capsys):
+    """Undirected t = 1 walks take t + 4 steps over at least two edges,
+    so the short axis of 2x5, which has one edge, is never drawn; a
+    lattice with one edge has no such walk."""
+    code, stdout, _ = run(capsys, "verify", "roundtrip", "--dims", "2x5", "--t", "1")
+    assert code == 0
+    assert stdout.splitlines() == [
+        "roundtrip scheme=undir dims=2x5 t=1 walks=1000 length=5 seed=0",
+        "ok=1000/1000",
+    ]
+    code, _, err = run(capsys, "verify", "roundtrip", "--dims", "2", "--t", "1")
+    assert code == 2
+    assert "no 1-dimensional walk" in err
 
 
 def test_verify_scan_clean(capsys):
@@ -389,18 +386,14 @@ def test_verify_scan_clean(capsys):
     assert "verdict=ok" in stdout
 
 
-def test_verify_scan_oscillations_collide(capsys):
+def test_verify_scan_below_t_collides(capsys):
+    "colord at t = 2 does not place every 1-dimensional walk."
     code, stdout, _ = run(
-        capsys, "verify", "scan", "--dims", "3x3", "--t", "1", "--max-len", "2"
+        capsys, "verify", "scan", "--dims", "4x4", "--directed", "--t", "2",
+        "--max-len", "4", "--t-min", "1",
     )
     assert code == 1
-    assert "verdict=collisions" in stdout
-    code, stdout, _ = run(
-        capsys, "verify", "scan", "--dims", "3x3", "--t", "1", "--max-len", "2",
-        "--exclude-single-edge",
-    )
-    assert code == 0
-    assert "verdict=ok" in stdout
+    assert stdout == "scanned=2264 collisions=9 verdict=collisions\n"
 
 
 def test_verify_oa(capsys):

@@ -199,16 +199,6 @@ def test_ambiguity_scan_caps_walk_length():
         ambiguity_scan(params, max_len=65, t_min=1, budget=10**9)
 
 
-def test_ambiguity_scan_single_edge_filter():
-    """Undirected oscillations collide by design; dropping walks that
-    never leave one edge clears the scan."""
-    params = make_scheme(spec((3, 3), False, 1), "undir")
-    loose = ambiguity_scan(params, max_len=2, t_min=1)
-    assert not loose.ok
-    strict = ambiguity_scan(params, max_len=2, t_min=1, exclude_single_edge=True)
-    assert strict.ok
-
-
 def _reference_scan(params, max_len, t_min, exclude_single_edge=False, color_fn=None):
     """(scanned, collisions) of ambiguity_scan, from a plain enumeration:
     every start, every step that apply_step takes, each edge built from
@@ -247,7 +237,9 @@ def _reference_scan(params, max_len, t_min, exclude_single_edge=False, color_fn=
 
 def _assert_scan_matches_reference(params, max_len, t_min, **kwargs):
     report = ambiguity_scan(params, max_len, t_min, **kwargs)
-    scanned, collisions = _reference_scan(params, max_len, t_min, **kwargs)
+    scanned, collisions = _reference_scan(
+        params, max_len, t_min, not params.lattice.directed, **kwargs
+    )
     assert (report.scanned, report.collisions) == (scanned, collisions)
     assert report.ok == (collisions == ())
     return report
@@ -262,12 +254,27 @@ def test_ambiguity_scan_matches_reference_directed(dims, t_min):
 
 @pytest.mark.parametrize("dims", [(3, 3), (2, 3, 2)])
 @pytest.mark.parametrize("t_min", [1, 2])
-@pytest.mark.parametrize("exclude", [False, True])
-def test_ambiguity_scan_matches_reference_undirected(dims, t_min, exclude):
+def test_ambiguity_scan_matches_reference_undirected(dims, t_min):
     params = make_scheme(spec(dims, False, t_min), "undir")
-    report = _assert_scan_matches_reference(params, 4, t_min, exclude_single_edge=exclude)
-    if t_min == 1 and not exclude:
-        assert not report.ok  # single-edge oscillations collide by design
+    assert _assert_scan_matches_reference(params, 4, t_min).ok
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (2, 3, 2)])
+def test_ambiguity_scan_skips_single_edge_walks_undirected(dims):
+    """A walk that keeps to one undirected edge crosses the same color
+    from either end, so it collides under any coloring: under the
+    scheme's, and under a seeded one that gives every edge its own
+    color.  A reference that groups those walks collides on both;
+    ambiguity_scan never groups them and reports ok."""
+    params = make_scheme(spec(dims, False, 1), "undir")
+    edges = every_edge(params.lattice)
+    random.Random(5).shuffle(edges)
+    distinct = dict(zip(edges, range(len(edges))))
+    for color_fn in (None, lambda e: distinct[tuple(e.root), e.code]):
+        scanned, collisions = _reference_scan(params, 4, 1, False, color_fn=color_fn)
+        assert collisions
+        report = ambiguity_scan(params, 4, 1, color_fn=color_fn)
+        assert report.ok and report.scanned == scanned
 
 
 @pytest.mark.parametrize("directed,kind", [(True, "colord"), (False, "undir")])
@@ -275,8 +282,7 @@ def test_ambiguity_scan_matches_reference_on_broken_coloring(directed, kind):
     "A three-color coloring must collide, and in the same places."
     params = make_scheme(spec((3, 3), directed, 2), kind)
     report = _assert_scan_matches_reference(
-        params, 3, 1, exclude_single_edge=not directed,
-        color_fn=lambda e: (e.code + e.root[0]) % 3,
+        params, 3, 1, color_fn=lambda e: (e.code + e.root[0]) % 3
     )
     assert not report.ok
 
@@ -295,16 +301,13 @@ def test_ambiguity_scan_matches_reference_color2_3d(dims):
 
 
 @pytest.mark.parametrize("origin", [0, 1])
-@pytest.mark.parametrize("exclude", [False, True])
-def test_ambiguity_scan_matches_reference_mod3_aux(origin, exclude):
+def test_ambiguity_scan_matches_reference_mod3_aux(origin):
     """A bare 3-coloring: each edge's root's L1 distance to a corner,
     mod 3 (corner 0 is all-zeros, corner 1 has coordinate 1 maxed)."""
     params = make_scheme(spec((3, 3), False, 1), "undir")
     corner = (0, 0) if origin == 0 else (2, 0)
     color_fn = lambda e: sum(abs(a - b) for a, b in zip(e.root, corner)) % 3
-    _assert_scan_matches_reference(
-        params, 3, 1, exclude_single_edge=exclude, color_fn=color_fn
-    )
+    _assert_scan_matches_reference(params, 3, 1, color_fn=color_fn)
 
 
 def test_ambiguity_scan_budget_is_exact():
@@ -337,13 +340,12 @@ def _seeded_coloring(s, seed, palette):
 @pytest.mark.parametrize(
     "dims,directed,kind", [((3, 3), True, "colord"), ((3, 4), True, "colord"), ((3, 3), False, "undir")]
 )
-@pytest.mark.parametrize("exclude", [False, True])
 @pytest.mark.parametrize(
     "palette",
     [(0, 1, 2), (-7, 2**64 + 1, -(2**80), 3)],
     ids=["small", "negative-and-wide"],
 )
-def test_ambiguity_scan_matches_reference_on_seeded_colorings(dims, directed, kind, exclude, palette):
+def test_ambiguity_scan_matches_reference_on_seeded_colorings(dims, directed, kind, palette):
     """Random colorings over a few colors collide in many places; the
     scan's coded sequences decode to the same collisions as the plain
     enumeration.  Colors that are negative or wider than 64 bits are
@@ -354,9 +356,7 @@ def test_ambiguity_scan_matches_reference_on_seeded_colorings(dims, directed, ki
         color_fn = _seeded_coloring(params.lattice, seed, palette)
         max_len = 3 + seed % 2
         t_min = 1 + seed % min(t_max, 3)
-        report = _assert_scan_matches_reference(
-            params, max_len, t_min, exclude_single_edge=exclude, color_fn=color_fn
-        )
+        report = _assert_scan_matches_reference(params, max_len, t_min, color_fn=color_fn)
         assert not report.ok
         assert {c for seq, _ in report.collisions for c in seq} <= set(palette)
 
