@@ -338,12 +338,14 @@ def _seeded_coloring(s, seed, palette):
 
 
 @pytest.mark.parametrize(
-    "dims,directed,kind", [((3, 3), True, "colord"), ((3, 4), True, "colord"), ((3, 3), False, "undir")]
+    "dims,directed,kind",
+    [((3, 3), True, "colord"), ((3, 4), True, "colord"), ((3, 3), False, "undir")],
+    ids=["colord3x3", "colord3x4", "undir3x3"],
 )
 @pytest.mark.parametrize(
     "palette",
     [(0, 1, 2), (-7, 2**64 + 1, -(2**80), 3)],
-    ids=["small", "negative-and-wide"],
+    ids=["small", "wide"],
 )
 def test_ambiguity_scan_matches_reference_on_seeded_colorings(dims, directed, kind, palette):
     """Random colorings over a few colors collide in many places; the
