@@ -117,10 +117,7 @@ def cmd_verify_roundtrip(args) -> int:
     params = _make_params(args)
     spec = params.lattice
     length = _default_length(spec) if args.length is None else args.length
-    # no coloring places an undirected walk that never leaves one edge
-    report = roundtrip_campaign(
-        params, spec.t, args.walks, length, args.seed, 1 if spec.directed else 2
-    )
+    report = roundtrip_campaign(params, spec.t, args.walks, length, args.seed)
     print(report.lines())
     return 0 if report.ok == report.total else 1
 

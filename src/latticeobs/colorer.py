@@ -212,10 +212,7 @@ def color_walk(w: Walk, params: SchemeParams) -> tuple[int, ...]:
     r = rank(node, spec)
     colors = []
     for s in w.steps:
-        move = table.get(s)
-        if move is None:
-            raise ValueError(f"bad step code {s} for this lattice")
-        axis, sign, dr, code = move
+        axis, sign, dr, code = table[s]
         x = node[axis] + sign
         if not 0 <= x < dims[axis]:
             raise ValueError(f"step {s} leaves the lattice at {tuple(node)}")

@@ -22,6 +22,13 @@ from typing import Sequence
 Coord = tuple[int, ...]
 
 
+class StepTable(dict):
+    """A step table that refuses a code the lattice lacks with ValueError."""
+
+    def __missing__(self, step):
+        raise ValueError(f"bad step code {step} for this lattice")
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     dims: tuple[int, ...]
@@ -57,15 +64,15 @@ class LatticeSpec:
         return tuple(w)
 
     @cached_property
-    def step_table(self) -> dict[int, tuple[int, int, int, int]]:
+    def step_table(self) -> StepTable:
         """Every valid step code -> (zero-based axis, +1 or -1, rank
-        change, edge code).
+        change, edge code); the one place an unknown code is refused.
 
         A step's edge is rooted at its lexicographically smaller end: the
         node a +1 step leaves, the node a -1 step reaches.  Its code is
         the step itself on directed lattices and the axis (1-based) on
         undirected ones."""
-        table = {}
+        table = StepTable()
         for j, w in enumerate(self.weights):
             down = self.d + j + 1 if self.directed else -(j + 1)
             table[j + 1] = (j, 1, w, j + 1)
@@ -107,15 +114,6 @@ def unrank(r: int, spec: LatticeSpec) -> Coord:
     return tuple(coords)
 
 
-def step_entry(step: int, spec: LatticeSpec) -> tuple[int, int, int, int]:
-    """A step code's step-table entry: (zero-based axis, +1 or -1, rank
-    change, edge code)."""
-    try:
-        return spec.step_table[step]
-    except KeyError:
-        raise ValueError(f"bad step code {step} for this lattice") from None
-
-
 def edge_endpoints(edge: Edge, spec: LatticeSpec) -> tuple[Coord, Coord]:
     """(root, far endpoint); validates the edge fits the lattice."""
     if not 1 <= edge.code <= spec.codes:
@@ -128,30 +126,25 @@ def edge_endpoints(edge: Edge, spec: LatticeSpec) -> tuple[Coord, Coord]:
     return root, far
 
 
-def _move(u: Coord, step: int, spec: LatticeSpec) -> Coord:
-    """Node one step from u, which is already known to be inside; only
-    the moved coordinate is checked."""
-    axis, sign, _, _ = step_entry(step, spec)
-    x = u[axis] + sign
-    if not 0 <= x < spec.dims[axis]:
-        raise ValueError(f"step {step} leaves the lattice at {u}")
-    return u[:axis] + (x,) + u[axis + 1 :]
-
-
 def apply_step(u: Sequence[int], step: int, spec: LatticeSpec) -> Coord:
     """Node reached from u by one step; errors if either end is outside."""
-    if not in_bounds(u, spec):
-        step_entry(step, spec)  # a bad code is reported first
-        raise ValueError(f"step {step} leaves the lattice at {tuple(u)}")
-    return _move(tuple(u), step, spec)
+    return walk_nodes(Walk(tuple(u), (step,)), spec)[1]
 
 
 def walk_nodes(w: Walk, spec: LatticeSpec) -> list[Coord]:
+    """Nodes w visits, start first; ValueError on a bad start, code or step."""
     if not in_bounds(w.start, spec):
         raise ValueError(f"start {w.start} outside lattice {spec.dims}")
-    nodes = [tuple(w.start)]
+    table, dims = spec.step_table, spec.dims
+    u = tuple(w.start)
+    nodes = [u]
     for s in w.steps:
-        nodes.append(_move(nodes[-1], s, spec))
+        axis, sign, _, _ = table[s]
+        x = u[axis] + sign
+        if not 0 <= x < dims[axis]:
+            raise ValueError(f"step {s} leaves the lattice at {u}")
+        u = u[:axis] + (x,) + u[axis + 1 :]
+        nodes.append(u)
     return nodes
 
 
@@ -160,16 +153,17 @@ def walk_dimension(w: Walk, spec: LatticeSpec) -> int:
     (undirected)."""
     if not w.steps:
         raise ValueError("empty walk has no dimension")
-    return len({step_entry(s, spec)[3] for s in w.steps})
+    return len({spec.step_table[s][3] for s in w.steps})
 
 
 def trace_steps(steps: Sequence[int], spec: LatticeSpec) -> tuple[tuple[Coord, ...], int]:
     """Node offsets relative to the start, plus the index of the
     lexicographically smallest node reached."""
+    table = spec.step_table
     pos = (0,) * spec.d
     offsets = [pos]
     for s in steps:
-        axis, sign, _, _ = step_entry(s, spec)
+        axis, sign, _, _ = table[s]
         pos = pos[:axis] + (pos[axis] + sign,) + pos[axis + 1 :]
         offsets.append(pos)
     root = min(range(len(offsets)), key=offsets.__getitem__)

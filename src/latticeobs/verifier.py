@@ -234,10 +234,13 @@ def random_walk(
     t: int,
     length: int,
     seed: int,
-    min_distinct_edges: int = 1,
+    min_distinct_edges: int | None = None,
 ) -> Walk:
     """Seeded walk of exactly `length` steps spanning exactly t
-    orientations (directed) or axes (undirected).  Same seed, same walk.
+    orientations (directed) or axes (undirected), crossing at least
+    min_distinct_edges distinct edges: by default 2 on undirected
+    lattices, where no coloring places a one-edge walk, 1 on directed
+    ones.  Same seed, same walk.  Impossible requests fail before a draw.
 
     Each try draws t orientations or axes and a start, then steps to a
     uniformly drawn legal move; a move is legal when the one coordinate
@@ -245,15 +248,23 @@ def random_walk(
     so distinct edges are counted by their root's rank and code."""
     spec = params.lattice
     n_codes = spec.codes
-    menu = list(range(1, n_codes + 1))
-    if not 1 <= t <= len(menu):
+    if not 1 <= t <= n_codes:
         raise ValueError(f"t={t} not realizable on this lattice")
     if length < t:
         raise ValueError("dimension t needs at least t steps")
+    if min_distinct_edges is None:
+        min_distinct_edges = 1 if spec.directed else 2
+    line, no_walk = max(spec.dims) - 1, f"no {t}-dimensional walk of length {length}"
+    if min_distinct_edges > length:
+        raise ValueError(f"{no_walk} crosses {min_distinct_edges} distinct edges")
+    if t == 1 and spec.directed and length > line:
+        raise ValueError(f"{no_walk} moves one way along an axis line of {line} edges")
+    if t == 1 and min_distinct_edges > line:
+        raise ValueError(f"{no_walk} crosses {min_distinct_edges} of an axis line's {line} edges")
     dims, table = spec.dims, spec.step_table
     rng = random.Random(seed)
     for _ in range(MAX_TRIES):
-        allowed = sorted(rng.sample(menu, t))
+        allowed = sorted(rng.sample(range(1, n_codes + 1), t))
         if not spec.directed:
             allowed = [s for a in allowed for s in (a, -a)]
         # (step, axis, sign, rank change, edge code), in the order of allowed
@@ -277,7 +288,7 @@ def random_walk(
         w = Walk(start, tuple(steps))
         if walk_dimension(w, spec) == t and len(edges) >= min_distinct_edges:
             return w
-    raise ValueError(f"no {t}-dimensional walk of length {length} in {MAX_TRIES} tries")
+    raise ValueError(f"{no_walk} in {MAX_TRIES} tries")
 
 
 def fault_inject(obs: WalkObservation, position: int, new_color: int) -> WalkObservation:
@@ -312,10 +323,10 @@ def roundtrip_campaign(
     n_walks: int,
     length: int,
     seed: int,
-    min_distinct_edges: int = 1,
+    min_distinct_edges: int | None = None,
 ) -> CampaignReport:
-    """Drive the decoder with seeded ground-truth walks: color each walk,
-    decode the colors alone, and compare against the truth."""
+    """Drive the decoder with random_walk's seeded walks, min_distinct_edges
+    as there: color each, decode the colors alone, compare with the truth."""
     if n_walks < 1:
         raise ValueError(f"n_walks={n_walks}: a campaign needs at least one walk")
     spec = params.lattice

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from latticeobs.colorer import color_walk, make_scheme
 from latticeobs.lattice import (
     Edge,
     LatticeSpec,
@@ -81,6 +82,31 @@ def test_apply_step_frozen():
     for step, s in [(0, D33), (5, D33), (-1, D33), (0, U33), (3, U33), (-3, U33)]:
         with pytest.raises(ValueError):
             apply_step((1, 1), step, s)
+
+
+# every caller that reads a step code, each fed one bad code after a good step
+STEP_CODE_READERS = {
+    "walk_nodes": lambda s, spec: walk_nodes(Walk((1, 1), (1, s)), spec),
+    "apply_step": lambda s, spec: apply_step((1, 1), s, spec),
+    "walk_dimension": lambda s, spec: walk_dimension(Walk((1, 1), (1, s)), spec),
+    "trace_steps": lambda s, spec: trace_steps((1, s), spec),
+    "color_walk": lambda s, spec: color_walk(
+        Walk((1, 1), (1, s)), make_scheme(spec, "colord" if spec.directed else "undir")
+    ),
+    "step_table": lambda s, spec: spec.step_table[s],
+}
+
+
+@pytest.mark.parametrize("reader", STEP_CODE_READERS)
+@pytest.mark.parametrize(
+    "spec,step",
+    [(D33, 0), (D33, 5), (D33, -1), (U33, 0), (U33, 3), (U33, -3)],
+    ids=lambda v: v if isinstance(v, int) else ("directed" if v.directed else "undirected"),
+)
+def test_step_table_owns_the_bad_code_refusal(reader, spec, step):
+    "The step table refuses a code the lattice lacks, for every reader alike."
+    with pytest.raises(ValueError, match=rf"^bad step code {step} for this lattice$"):
+        STEP_CODE_READERS[reader](step, spec)
 
 
 SMALL_SPECS = [

@@ -301,7 +301,7 @@ def test_ambiguity_scan_matches_reference_color2_3d(dims):
 
 
 @pytest.mark.parametrize("origin", [0, 1])
-def test_ambiguity_scan_matches_reference_mod3_aux(origin):
+def test_ambiguity_scan_matches_reference_on_corner_distance_coloring(origin):
     """A bare 3-coloring: each edge's root's L1 distance to a corner,
     mod 3 (corner 0 is all-zeros, corner 1 has coordinate 1 maxed)."""
     params = make_scheme(spec((3, 3), False, 1), "undir")
@@ -480,8 +480,50 @@ def test_random_walk_validation():
         random_walk(params, t=5, length=5, seed=0)  # no such orientation count
     tiny = make_scheme(spec((2, 2), True, 1), "colord")
     # one orientation cannot take 3 steps on an axis of length 2
-    with pytest.raises(ValueError, match="no 1-dimensional walk of length 3 in 10000 tries"):
+    with pytest.raises(ValueError, match="^no 1-dimensional walk of length 3 moves one way"):
         random_walk(tiny, t=1, length=3, seed=0)
+
+
+@pytest.mark.parametrize(
+    "dims,directed,t,length,min_edges,reason",
+    [
+        ((4, 4), True, 2, 3, 4, "crosses 4 distinct edges"),
+        ((5, 5), False, 1, 1, None, "crosses 2 distinct edges"),
+        ((2,), False, 1, 5, None, "crosses 2 of an axis line's 1 edges"),
+        ((3, 3), False, 1, 5, 3, "crosses 3 of an axis line's 2 edges"),
+        ((3, 3), True, 1, 5, None, "moves one way along an axis line of 2 edges"),
+    ],
+    ids=["too-few-steps", "undirected-default", "one-edge-line", "short-line", "directed-line"],
+)
+def test_random_walk_refuses_what_arithmetic_rules_out(
+    dims, directed, t, length, min_edges, reason
+):
+    """More distinct edges than steps, or a t = 1 walk that outgrows the
+    longest axis line, is refused with its reason before any draw."""
+    params = make_scheme(spec(dims, directed, t), "colord" if directed else "undir")
+    with pytest.raises(ValueError, match=f"^no {t}-dimensional walk of length {length} {reason}$"):
+        random_walk(params, t, length, 0, min_edges)
+
+
+def test_random_walk_gives_up_after_max_tries():
+    """A request arithmetic does not settle: two axes of 2x2 hold 4 edges,
+    but a 2-axis walk of 6 steps never crosses 5 distinct ones."""
+    params = make_scheme(spec((2, 2), False, 2), "undir")
+    with pytest.raises(ValueError, match=r"^no 2-dimensional walk of length 6 in 10000 tries$"):
+        random_walk(params, 2, 6, 0, 5)
+
+
+def test_random_walk_default_follows_the_lattice():
+    """min_distinct_edges defaults to 2 on undirected lattices, so a
+    correct scheme places every walk, and to 1 on directed ones."""
+    undirected = make_scheme(spec((5, 5), False, 1), "undir")
+    report = roundtrip_campaign(undirected, 1, 200, 5, 0)
+    assert report.lines().endswith("ok=200/200")
+    directed = make_scheme(spec((4, 6), True, 3), "colord")
+    for seed in range(50):
+        assert random_walk(undirected, 1, 5, seed) == random_walk(undirected, 1, 5, seed, 2)
+        assert random_walk(directed, 3, 7, seed) == random_walk(directed, 3, 7, seed, 1)
+        assert random_walk(directed, 1, 3, seed) == random_walk(directed, 1, 3, seed, 1)
 
 
 def test_fault_inject():
