@@ -16,7 +16,7 @@ import contextlib
 import functools
 import os
 import sys
-from itertools import islice
+from itertools import islice, zip_longest
 
 from .colorer import (
     KINDS,
@@ -101,10 +101,20 @@ def cmd_color(args) -> int:
 def cmd_decode(args) -> int:
     with open(args.coloring, encoding="utf-8") as fh:
         params = parse_header(fh.readline().rstrip("\n"))
-    try:
-        colors = tuple(int(c) for c in args.colors.split(","))
-    except ValueError:
-        raise ValueError(f"bad --colors {args.colors!r}; expected like 7,12,3") from None
+        try:
+            colors = tuple(int(c) for c in args.colors.split(","))
+        except ValueError:
+            raise ValueError(f"bad --colors {args.colors!r}; expected like 7,12,3") from None
+        # the body must be the export `color` writes for the header, line for line
+        lines = coloring_lines(params)
+        next(lines)  # parse_header matched the header exactly
+        body = (line.rstrip("\n") for line in fh)
+        for n, pair in enumerate(zip_longest(body, lines), start=2):
+            if pair[0] != pair[1]:
+                found, expected = ("end of file" if x is None else repr(x) for x in pair)
+                print(f"error: {args.coloring} line {n}: expected {expected}, found {found}",
+                      file=sys.stderr)
+                return 1
     report = decode(WalkObservation(colors, params))
     fmt = lambda c: ",".join(map(str, c)) if c else "-"
     print(f"status={report.status} root={fmt(report.root)} current={fmt(report.current)}")

@@ -29,7 +29,7 @@ from functools import cached_property
 from .gfpoly import FieldPrime, base_digits, ceil_nth_root, next_prime_above, poly_eval
 # unrank goes unused here; bench/layers.py counts calls made through
 # colorer.unrank, so the name stays importable from this module.
-from .lattice import Edge, LatticeSpec, Walk, edge_endpoints, in_bounds, rank, unrank
+from .lattice import Edge, LatticeSpec, Walk, edge_endpoints, rank, unrank, walk_nodes
 from .oarray import OASpec
 
 # scheme kind -> whether it colors a directed lattice
@@ -196,34 +196,22 @@ def color_unpack(c: int, params: SchemeParams) -> tuple:
 def color_walk(w: Walk, params: SchemeParams) -> tuple[int, ...]:
     """Ground-truth observation: the color of each edge w traverses.
 
-    One pass over the steps, in rank space: the start is checked and
-    ranked once; each step code is looked up in the lattice's step
-    table, only the coordinate it moves is checked, and the current
-    node and its rank move together.  A bad code, a bad start or a step
-    that leaves the lattice raises ValueError.  An up step's edge is
-    rooted at the node it leaves, a down step's at the node it reaches,
-    so no edge is built, validated or ranked on its own."""
+    The nodes come from walk_nodes, which refuses a bad start, a bad
+    code or a step that leaves the lattice with ValueError.  The start
+    is ranked once and the rank moves by each step's rank change.  An
+    up step's edge is rooted at the node it leaves, a down step's at
+    the node it reaches, so no edge is built, validated or ranked on
+    its own."""
     spec = params.lattice
-    assign = _ASSIGNERS[params.kind]
-    table, dims = spec.step_table, spec.dims
-    if not in_bounds(w.start, spec):
-        raise ValueError(f"start {w.start} outside lattice {spec.dims}")
-    node = list(w.start)
-    r = rank(node, spec)
+    assign, table = _ASSIGNERS[params.kind], spec.step_table
+    nodes = walk_nodes(w, spec)
+    r = rank(nodes[0], spec)
     colors = []
-    for s in w.steps:
-        axis, sign, dr, code = table[s]
-        x = node[axis] + sign
-        if not 0 <= x < dims[axis]:
-            raise ValueError(f"step {s} leaves the lattice at {tuple(node)}")
-        if sign > 0:
-            colors.append(assign(node, r, code, params))
-            node[axis] = x
-            r += dr
-        else:
-            node[axis] = x
-            r += dr
-            colors.append(assign(node, r, code, params))
+    for s, u, v in zip(w.steps, nodes, nodes[1:]):
+        _, sign, dr, code = table[s]
+        root, root_rank = (u, r) if sign > 0 else (v, r + dr)
+        colors.append(assign(root, root_rank, code, params))
+        r += dr
     return tuple(colors)
 
 

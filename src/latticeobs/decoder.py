@@ -11,8 +11,9 @@ scheme kind, in five stages:
   trace    rebuild the walk's shape relative to its start and find its
            lexicographically smallest node;
   locate   place that minimum absolutely;
-  verify   recolor the placed walk once and demand an exact match; the
-           embedding is the start plus the offsets the trace found.
+  verify   recolor the placed walk once and demand an exact match, the
+           one placement check; the embedding is the start plus the
+           offsets the trace found.
 
 Only `locate` depends on the scheme kind: colord and undir solve the
 minimum's orthogonal-array row from color-value differences, color2
@@ -29,8 +30,8 @@ sequences fit none.  Reports never guess.
 from dataclasses import dataclass
 from operator import add
 
-from .colorer import SchemeParams, color_unpack, color_walk, parity_group
-from .gfpoly import FieldPrime, base_digits, poly_eval
+from .colorer import SchemeParams, color_unpack, color_walk
+from .gfpoly import FieldPrime, poly_eval
 # walk_nodes goes unused here; bench/layers.py times calls made through
 # decoder.walk_nodes, so the name stays importable from this module.
 from .lattice import Walk, rank_difference, trace_steps, unrank, walk_nodes
@@ -82,11 +83,9 @@ def recover_coef_diffs(
     digit first, each base-modulus digit of the remaining gap is the
     coefficient difference up to one borrow of the modulus; the known
     parities pick the single candidate in (-modulus, modulus) because
-    the modulus is odd.
+    the modulus is odd, which SchemeParams guarantees by refusing 2.
     """
     m = p.modulus
-    if m % 2 == 0:
-        raise ValueError("parity recovery needs an odd modulus")
     if ell < 0:
         raise ObservationError("rank gap must be non-negative")
     flips = parity_a ^ parity_b
@@ -96,11 +95,11 @@ def recover_coef_diffs(
         rem = ell % m
         delta = rem if rem % 2 == want else rem - m
         if delta <= -m:
-            raise ObservationError("rank gap inconsistent with parities")
+            raise ObservationError("rank gap digit borrows past the modulus")
         deltas[k] = delta
         ell = (ell - delta) // m
     if ell:
-        raise ObservationError("rank gap inconsistent with parities")
+        raise ObservationError("rank gap left over after t digits")
     return tuple(deltas)
 
 
@@ -152,7 +151,8 @@ def _locate_oa(params, parts, signs, offsets, root_idx) -> tuple:
     The first edge of each of the t smallest codes gives one column; its
     root is walk node pos or pos + 1, by the step's sign.  Any walk edge
     incident to the minimum is rooted there, so its parity bits describe
-    the minimum's row.
+    the minimum's row; verify recolors that edge from the solved row,
+    so a row with other parities fails there.
     """
     spec = params.lattice
     p, t = params.sigma, spec.t
@@ -171,8 +171,6 @@ def _locate_oa(params, parts, signs, offsets, root_idx) -> tuple:
     row = oa_row_from_projection(columns, values, params.oa)
     if row >= spec.size:
         raise ObservationError("solved rank is outside the lattice")
-    if parity_group(base_digits(row, t, p)) != anchor_parity:
-        raise ObservationError("parity mismatch at the solved root")
     root = unrank(row, spec)
     return tuple(r - o for r, o in zip(root, offsets[root_idx]))
 

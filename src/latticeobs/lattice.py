@@ -132,19 +132,20 @@ def apply_step(u: Sequence[int], step: int, spec: LatticeSpec) -> Coord:
 
 
 def walk_nodes(w: Walk, spec: LatticeSpec) -> list[Coord]:
-    """Nodes w visits, start first; ValueError on a bad start, code or step."""
+    """Nodes w visits, start first, stepped on one list and stored as
+    tuples; ValueError on a bad start, code or step."""
     if not in_bounds(w.start, spec):
         raise ValueError(f"start {w.start} outside lattice {spec.dims}")
     table, dims = spec.step_table, spec.dims
-    u = tuple(w.start)
-    nodes = [u]
+    node = list(w.start)
+    nodes = [tuple(node)]
     for s in w.steps:
         axis, sign, _, _ = table[s]
-        x = u[axis] + sign
+        x = node[axis] + sign
         if not 0 <= x < dims[axis]:
-            raise ValueError(f"step {s} leaves the lattice at {u}")
-        u = u[:axis] + (x,) + u[axis + 1 :]
-        nodes.append(u)
+            raise ValueError(f"step {s} leaves the lattice at {nodes[-1]}")
+        node[axis] = x
+        nodes.append(tuple(node))
     return nodes
 
 

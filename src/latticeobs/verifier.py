@@ -18,7 +18,6 @@ from .lattice import (
     LatticeSpec,
     Walk,
     apply_step,
-    rank,
     unrank,
     walk_dimension,
     walk_nodes,
@@ -244,8 +243,9 @@ def random_walk(
 
     Each try draws t orientations or axes and a start, then steps to a
     uniformly drawn legal move; a move is legal when the one coordinate
-    it changes stays inside its axis.  The node's rank moves with it,
-    so distinct edges are counted by their root's rank and code."""
+    it changes stays inside its axis.  A walk over t codes crosses one
+    edge per code, so edges are counted, as (root, code) pairs over
+    walk_nodes, only when min_distinct_edges exceeds t."""
     spec = params.lattice
     n_codes = spec.codes
     if not 1 <= t <= n_codes:
@@ -267,26 +267,27 @@ def random_walk(
         allowed = sorted(rng.sample(range(1, n_codes + 1), t))
         if not spec.directed:
             allowed = [s for a in allowed for s in (a, -a)]
-        # (step, axis, sign, rank change, edge code), in the order of allowed
-        moves = [(s, *table[s]) for s in allowed]
+        moves = [(s, *table[s][:2]) for s in allowed]  # (step, axis, sign)
         node = [rng.randrange(n) for n in dims]
         start = tuple(node)
-        r = rank(start, spec)
         steps = []
-        edges = set()  # edge ids, as ambiguity_scan numbers them
         for _ in range(length):
             legal = [m for m in moves if 0 <= node[m[1]] + m[2] < dims[m[1]]]
             if not legal:
                 break
-            s, axis, sign, dr, code = legal[rng.randrange(len(legal))]
-            edges.add((r if sign > 0 else r + dr) * n_codes + code - 1)
+            s, axis, sign = legal[rng.randrange(len(legal))]
             steps.append(s)
             node[axis] += sign
-            r += dr
         if len(steps) < length:
             continue
         w = Walk(start, tuple(steps))
-        if walk_dimension(w, spec) == t and len(edges) >= min_distinct_edges:
+        if walk_dimension(w, spec) != t:
+            continue
+        if min_distinct_edges <= t:
+            return w
+        nodes = walk_nodes(w, spec)
+        edges = {(min(u, v), table[s][3]) for s, u, v in zip(steps, nodes, nodes[1:])}
+        if len(edges) >= min_distinct_edges:
             return w
     raise ValueError(f"{no_walk} in {MAX_TRIES} tries")
 

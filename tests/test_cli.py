@@ -189,6 +189,37 @@ def test_color2_on_a_cube_writes_and_decodes(tmp_path, capsys):
     assert stdout.strip() == "status=ok root=1,2,0 current=2,2,0"
 
 
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda lines: lines[:1] + ["garbage"], "line 2: expected '0,0 1 0', found 'garbage'"),
+        (  # line 5's color changed from 15 to 0
+            lambda lines: lines[:4] + ["0,0 4 0"] + lines[5:],
+            "line 5: expected '0,0 4 15', found '0,0 4 0'",
+        ),
+        (lambda lines: lines[:20], "line 21: expected '1,1 2 47', found end of file"),
+        (lambda lines: lines + ["0,0 1 0"], "line 50: expected end of file, found '0,0 1 0'"),
+    ],
+    ids=["garbage", "edited", "truncated", "extra"],
+)
+def test_decode_refuses_a_body_that_is_not_the_export(tmp_path, capsys, edit, message):
+    """decode regenerates the export its header names and compares the
+    body line by line: the first line that differs, is missing or is
+    extra exits 1 and is named, before any decode.  Each of these files
+    decodes README's colors to status=ok when the body goes unread."""
+    coloring = make_coloring(
+        tmp_path, "--dims", "4x4", "--directed", "--t", "4", "--scheme", "colord"
+    )
+    lines = coloring.read_text(encoding="utf-8").splitlines()
+    argv = ["decode", "--coloring", str(coloring), "--colors", "41,46,74,59,41,46"]
+    capsys.readouterr()
+    assert run(capsys, *argv) == (0, "status=ok root=1,1 current=2,2\n", "")
+    coloring.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (1, "")
+    assert err == f"error: {coloring} {message}\n"
+
+
 def test_decode_ambiguous_exits_3(tmp_path, capsys):
     coloring = make_coloring(
         tmp_path, "--dims", "4x4", "--t", "2", "--scheme", "undir"

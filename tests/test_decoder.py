@@ -1,8 +1,10 @@
 """Decoding observations back to exact lattice positions."""
 
+import ast
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +29,7 @@ from latticeobs.decoder import (
     recover_signs,
 )
 from latticeobs.gfpoly import FieldPrime, base_digits, poly_eval
-from latticeobs.lattice import Edge, LatticeSpec, Walk, walk_dimension, walk_nodes
+from latticeobs.lattice import Edge, LatticeSpec, Walk, trace_steps, walk_dimension, walk_nodes
 from latticeobs.oarray import OASpec
 from latticeobs.verifier import fault_inject, random_walk
 
@@ -85,14 +87,12 @@ def test_recover_coef_diffs_frozen():
 
 
 def test_recover_coef_diffs_validation():
-    with pytest.raises(ValueError):
-        recover_coef_diffs(1, 0b11, 0b10, 2, FieldPrime(2))  # even field
-    with pytest.raises(ObservationError):
+    with pytest.raises(ObservationError, match="^rank gap must be non-negative$"):
         recover_coef_diffs(-1, 0b00, 0b00, 2, P5)
-    with pytest.raises(ObservationError):
+    with pytest.raises(ObservationError, match="^rank gap digit borrows past the modulus$"):
         # an odd digit cannot absorb a zero remainder at the bottom
         recover_coef_diffs(0, 0b01, 0b00, 2, P5)
-    with pytest.raises(ObservationError):
+    with pytest.raises(ObservationError, match="^rank gap left over after t digits$"):
         # leftover gap after all digits are spent
         recover_coef_diffs(24, 0b10, 0b00, 2, P5)
 
@@ -429,32 +429,35 @@ def test_faults_never_impersonate_the_original():
 
 def test_parity_mismatch_at_solved_root_is_invalid(monkeypatch):
     """A single substitution can leave the t columns consistent with a
-    row inside the lattice whose parities differ from the anchor's.
-    Spies on the row solve and on unrank confirm the refusal comes from
-    the parity check between them; the report is invalid."""
-    solved, unranked = [], []
-    solve, unrank = decoder.oa_row_from_projection, decoder.unrank
+    row inside the lattice whose parities differ from the anchor's: the
+    parities of the edge at the walk's minimum.  The test finds those
+    cases itself, from the solved row a spy on the row solve records,
+    and each must be invalid: verify recolors the anchor edge from that
+    same row, so the mismatch fails the recolor."""
+    solved = []
+    solve = decoder.oa_row_from_projection
 
     def spy_solve(*args):
         solved.append(solve(*args))
         return solved[-1]
 
-    def spy_unrank(*args):
-        unranked.append(args)
-        return unrank(*args)
-
     monkeypatch.setattr(decoder, "oa_row_from_projection", spy_solve)
-    monkeypatch.setattr(decoder, "unrank", spy_unrank)
     params = make_scheme(spec((5, 5), True, 2), "colord")
+    s, t, p = params.lattice, params.lattice.t, params.sigma
     hits = 0
     for seed in range(3):
         obs = observe(random_walk(params, 2, 4, seed), params)
         for pos in range(len(obs.colors)):
             for c in range(palette_size(params)):
                 solved.clear()
-                unranked.clear()
-                report = decode(fault_inject(obs, pos, c))
-                if solved and solved[0] < params.lattice.size and not unranked:
+                faulted = fault_inject(obs, pos, c)
+                report = decode(faulted)
+                if not solved or solved[0] >= s.size:
+                    continue
+                parts = [color_unpack(color, params) for color in faulted.colors]
+                _, root_idx = trace_steps([part[0] for part in parts], s)
+                anchor = parts[root_idx - 1 if root_idx else 0][2]
+                if parity_group(base_digits(solved[0], t, p)) != anchor:
                     assert report.status == INVALID
                     hits += 1
     assert hits
@@ -470,3 +473,78 @@ def test_lagrange_basis_built_once_per_column_subset():
     info = gfpoly._lagrange_basis.cache_info()
     assert info.hits + info.misses == 200  # one row solve per decode
     assert info.misses <= math.comb(params.lattice.codes, 3)
+
+
+def _steps_of(nodes, s):
+    """Step codes of a node sequence, read off coordinate differences:
+    each consecutive pair must differ by one on exactly one axis."""
+    steps = []
+    for u, v in zip(nodes, nodes[1:]):
+        moved = [(j, b - a) for j, (a, b) in enumerate(zip(u, v)) if a != b]
+        assert len(moved) == 1 and abs(moved[0][1]) == 1, (u, v)
+        (j, sign), = moved
+        if s.directed:
+            steps.append(j + 1 if sign > 0 else s.d + j + 1)
+        else:
+            steps.append(sign * (j + 1))
+    return tuple(steps)
+
+
+def _recolor(nodes, params):
+    "Each edge's color by assign_color on its lower end and code."
+    s = params.lattice
+    return tuple(
+        assign_color(Edge(min(u, v), abs(step)), params)
+        for step, u, v in zip(_steps_of(nodes, s), nodes, nodes[1:])
+    )
+
+
+@pytest.mark.parametrize(
+    "dims,directed,t,kind",
+    [((4, 4), True, 2, "colord"), ((4, 4), False, 2, "undir"), ((4, 4), True, 4, "color2")],
+    ids=["colord", "undir", "color2"],
+)
+def test_ok_is_never_a_guess_under_corruption(dims, directed, t, kind):
+    """Every palette color at every position of 10 seeded walks: an ok
+    report's embedding, rebuilt into steps by coordinate differences,
+    recolors exactly to the observation it came from, and each clean
+    observation decodes to its own walk.  The recolor is the decoder's
+    one placement check, so no ok can rest on any earlier stage."""
+    params = make_scheme(spec(dims, directed, t), kind)
+    oks = 0
+    for seed in range(10):
+        w = random_walk(params, t, t + 4, seed)
+        obs = observe(w, params)
+        clean = decode(obs)
+        assert clean.status == OK
+        assert (clean.embedding[0], _steps_of(clean.embedding, params.lattice)) == (w.start, w.steps)
+        for pos in range(len(obs.colors)):
+            for c in range(palette_size(params)):
+                faulted = fault_inject(obs, pos, c)
+                report = decode(faulted)
+                if report.status != OK:
+                    continue
+                nodes = report.embedding
+                assert _recolor(nodes, params) == faulted.colors
+                assert report.root == min(nodes) == nodes[report.root_index]
+                assert report.current == nodes[-1]
+                oks += 1
+    assert oks > 10 * (t + 4)  # more than the identity substitutions
+
+
+def test_every_refusal_message_is_distinct():
+    """Each literal message decoder.py gives ObservationError or
+    AmbiguousObservation names one raise site, so a refusal's text says
+    where it came from."""
+    tree = ast.parse(Path(decoder.__file__).read_text(encoding="utf-8"))
+    messages = [
+        node.args[0].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("ObservationError", "AmbiguousObservation")
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+    ]
+    assert len(messages) >= 8
+    assert len(set(messages)) == len(messages), sorted(messages)

@@ -472,6 +472,30 @@ def test_random_walk_undirected_spans_t_axes():
     assert len(set(coordinate_edges(w, params.lattice))) >= 2
 
 
+@pytest.mark.parametrize("extra", [0, 1, 2], ids=["t", "t+1", "t+2"])
+@pytest.mark.parametrize("t", [1, 2])
+@pytest.mark.parametrize("directed", [True, False], ids=["directed", "undirected"])
+def test_random_walk_crosses_min_distinct_edges(directed, t, extra):
+    """On 5x5, walks of 4 steps drawn with min_distinct_edges t, t + 1
+    and t + 2 cross at least that many distinct edges, counted on nodes
+    stepped here coordinate by coordinate.  random_walk counts edges only
+    above t, since a walk over t codes crosses one edge per code."""
+    params = make_scheme(spec((5, 5), directed, t), "colord" if directed else "undir")
+    d, want = params.lattice.d, t + extra
+    for seed in range(40):
+        w = random_walk(params, t, 4, seed, want)
+        assert len(w.steps) == 4 and walk_dimension(w, params.lattice) == t
+        node, edges = list(w.start), set()
+        for st in w.steps:
+            axis = (abs(st) - 1) % d
+            sign = 1 if (st <= d if directed else st > 0) else -1
+            u = tuple(node)
+            node[axis] += sign
+            assert 0 <= node[axis] < 5
+            edges.add((min(u, tuple(node)), axis, sign if directed else 0))
+        assert len(edges) >= want
+
+
 def test_random_walk_validation():
     params = make_scheme(spec((4, 4), True, 2), "colord")
     with pytest.raises(ValueError):
