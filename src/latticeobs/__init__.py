@@ -3,7 +3,9 @@
 Color every edge of a rectangular lattice so that any walk whose edges
 span enough orientations can be located, exactly, from the sequence of
 colors it crossed.  Includes the coloring schemes, the decoders, the
-matching lower bound, and exhaustive verification tooling.
+matching lower bound, and exhaustive verification tooling.  Its record
+types (LatticeSpec, SchemeParams, DecodeReport and the rest) are
+immutable values compared by class and fields; see lattice.Record.
 """
 
 from .colorer import (

@@ -16,7 +16,7 @@ import contextlib
 import functools
 import os
 import sys
-from itertools import islice, zip_longest
+from itertools import chain, islice, zip_longest
 
 from .colorer import (
     KINDS,
@@ -98,20 +98,30 @@ def cmd_color(args) -> int:
     return 0
 
 
+def _as_read(line) -> str:
+    """A coloring-file line as decode's byte check names it."""
+    if line is None:
+        return "end of file"
+    text = line.removesuffix("\n")
+    return repr(text) if text != line else f"{text!r} with no newline"
+
+
 def cmd_decode(args) -> int:
-    with open(args.coloring, encoding="utf-8") as fh:
-        params = parse_header(fh.readline().rstrip("\n"))
+    # newline="\n", as `color` writes: lines split at LF only and keep
+    # their ends, so a CR or a missing last newline is read as it is
+    with open(args.coloring, encoding="utf-8", newline="\n") as fh:
+        head = fh.readline()
+        # a CRLF header still parses, so the byte check names its line end
+        params = parse_header(head.removesuffix("\n").removesuffix("\r"))
         try:
             colors = tuple(int(c) for c in args.colors.split(","))
         except ValueError:
             raise ValueError(f"bad --colors {args.colors!r}; expected like 7,12,3") from None
-        # the body must be the export `color` writes for the header, line for line
-        lines = coloring_lines(params)
-        next(lines)  # parse_header matched the header exactly
-        body = (line.rstrip("\n") for line in fh)
-        for n, pair in enumerate(zip_longest(body, lines), start=2):
+        # the file must be, byte for byte, the export `color` writes for its header
+        lines = (line + "\n" for line in coloring_lines(params))
+        for n, pair in enumerate(zip_longest(chain((head,), fh), lines), start=1):
             if pair[0] != pair[1]:
-                found, expected = ("end of file" if x is None else repr(x) for x in pair)
+                found, expected = map(_as_read, pair)
                 print(f"error: {args.coloring} line {n}: expected {expected}, found {found}",
                       file=sys.stderr)
                 return 1

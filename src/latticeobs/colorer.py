@@ -23,33 +23,43 @@ Every kind has a decoder, and a coloring file's header names its
 parameters exactly: parse_header accepts only what format_header writes.
 """
 
-from dataclasses import dataclass, field
 from functools import cached_property
+from operator import mul
 
 from .gfpoly import FieldPrime, base_digits, ceil_nth_root, next_prime_above, poly_eval
 # unrank goes unused here; bench/layers.py counts calls made through
 # colorer.unrank, so the name stays importable from this module.
-from .lattice import Edge, LatticeSpec, Walk, edge_endpoints, rank, unrank, walk_nodes
+from .lattice import (
+    Edge,
+    LatticeSpec,
+    Record,
+    Walk,
+    edge_endpoints,
+    rank,
+    set_field,
+    unrank,
+    walk_nodes,
+)
 from .oarray import OASpec
 
 # scheme kind -> whether it colors a directed lattice
 KINDS = {"colord": True, "color2": True, "undir": False}
 
 
-@dataclass(frozen=True)
-class SchemeParams:
+class SchemeParams(Record):
     """A scheme that checks itself and derives its layout.  sigma None
     picks default_sigma (color2 takes none); an int becomes a FieldPrime
-    after the kind's checks, so a request wrong in both names the kind."""
+    after the kind's checks, so a request wrong in both names the kind.
+    group_count and group_size are derived, never passed."""
 
-    lattice: LatticeSpec
-    kind: str
-    sigma: FieldPrime | None = None
-    group_count: int = field(init=False)
-    group_size: int = field(init=False)
+    _fields = ("lattice", "kind", "sigma", "group_count", "group_size")
 
-    def __post_init__(self) -> None:
-        spec, kind, p = self.lattice, self.kind, self.sigma
+    def __init__(
+        self, lattice: LatticeSpec, kind: str, sigma: FieldPrime | int | None = None
+    ) -> None:
+        set_field(self, "lattice", lattice)
+        set_field(self, "kind", kind)
+        spec, p = lattice, sigma
         if kind not in KINDS:
             raise ValueError(f"unknown scheme kind {kind!r}")
         d, t = spec.d, spec.t
@@ -70,9 +80,9 @@ class SchemeParams:
                 raise ValueError(f"{kind} needs an odd sigma: parity recovery cannot work mod 2")
             groups = 2**t if kind == "colord" else 2**t * 3 ** (d - t + 2)
             size = spec.codes * p.modulus
-        object.__setattr__(self, "sigma", p)
-        object.__setattr__(self, "group_count", groups)
-        object.__setattr__(self, "group_size", size)
+        set_field(self, "sigma", p)
+        set_field(self, "group_count", groups)
+        set_field(self, "group_size", size)
 
     @cached_property
     def oa(self) -> OASpec:
@@ -198,14 +208,15 @@ def color_walk(w: Walk, params: SchemeParams) -> tuple[int, ...]:
 
     The nodes come from walk_nodes, which refuses a bad start, a bad
     code or a step that leaves the lattice with ValueError.  The start
-    is ranked once and the rank moves by each step's rank change.  An
+    it checked is ranked once, with no second bounds check, and the
+    rank moves by each step's rank change.  An
     up step's edge is rooted at the node it leaves, a down step's at
     the node it reaches, so no edge is built, validated or ranked on
     its own."""
     spec = params.lattice
     assign, table = _ASSIGNERS[params.kind], spec.step_table
     nodes = walk_nodes(w, spec)
-    r = rank(nodes[0], spec)
+    r = sum(map(mul, nodes[0], spec.weights))
     colors = []
     for s, u, v in zip(w.steps, nodes, nodes[1:]):
         _, sign, dr, code = table[s]

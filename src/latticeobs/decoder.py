@@ -27,14 +27,13 @@ placement, so it does not mean that two walks fit, and many such
 sequences fit none.  Reports never guess.
 """
 
-from dataclasses import dataclass
 from operator import add
 
 from .colorer import SchemeParams, color_unpack, color_walk
 from .gfpoly import FieldPrime, poly_eval
 # walk_nodes goes unused here; bench/layers.py times calls made through
 # decoder.walk_nodes, so the name stays importable from this module.
-from .lattice import Walk, rank_difference, trace_steps, unrank, walk_nodes
+from .lattice import Record, Walk, rank_difference, set_field, trace_steps, unrank, walk_nodes
 from .oarray import oa_row_from_projection
 
 OK = "ok"
@@ -53,24 +52,32 @@ class AmbiguousObservation(ObservationError):
     walks, one, or none."""
 
 
-@dataclass(frozen=True)
-class WalkObservation:
-    colors: tuple[int, ...]
-    params: SchemeParams
+class WalkObservation(Record):
+    _fields = ("colors", "params")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "colors", tuple(self.colors))
+    def __init__(self, colors, params: SchemeParams) -> None:
+        set_field(self, "colors", tuple(colors))
+        set_field(self, "params", params)
         if not self.colors:
             raise ValueError("observation needs at least one color")
 
 
-@dataclass(frozen=True)
-class DecodeReport:
-    status: str
-    root: tuple | None = None
-    root_index: int | None = None
-    current: tuple | None = None
-    embedding: tuple | None = None
+class DecodeReport(Record):
+    _fields = ("status", "root", "root_index", "current", "embedding")
+
+    def __init__(
+        self,
+        status: str,
+        root: tuple | None = None,
+        root_index: int | None = None,
+        current: tuple | None = None,
+        embedding: tuple | None = None,
+    ) -> None:
+        set_field(self, "status", status)
+        set_field(self, "root", root)
+        set_field(self, "root_index", root_index)
+        set_field(self, "current", current)
+        set_field(self, "embedding", embedding)
 
 
 def recover_coef_diffs(

@@ -11,11 +11,12 @@ count (Miller-Rabin, and BPSW above its proven bound), so a scheme on
 10^300 nodes is sized in milliseconds.
 """
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from math import isqrt
 from operator import mul
-from typing import Iterable, Sequence
+
+from .lattice import Record, set_field
 
 
 # Deterministic Miller-Rabin to the first 13 prime bases is exact below
@@ -106,15 +107,15 @@ def _jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-@dataclass(frozen=True)
-class FieldPrime:
+class FieldPrime(Record):
     """A prime modulus, validated at construction."""
 
-    modulus: int
+    _fields = ("modulus",)
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.modulus):
-            raise ValueError(f"{self.modulus} is not prime")
+    def __init__(self, modulus: int) -> None:
+        set_field(self, "modulus", modulus)
+        if not is_prime(modulus):
+            raise ValueError(f"{modulus} is not prime")
 
 
 def next_prime_above(m: int) -> FieldPrime:
@@ -124,7 +125,7 @@ def next_prime_above(m: int) -> FieldPrime:
     while not is_prime(n):
         n += 1
     p = object.__new__(FieldPrime)
-    object.__setattr__(p, "modulus", n)
+    set_field(p, "modulus", n)
     return p
 
 

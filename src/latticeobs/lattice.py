@@ -12,14 +12,56 @@ root, the lexicographically smaller endpoint, plus a code:
 
 A walk stores its start node and its step sequence: orientation codes
 when directed, signed axes (+j / -j) when undirected.
+
+LatticeSpec, Edge and Walk, and the library's other record types, are
+Records: immutable values that print as Name(field=value, ...) and
+compare and hash by their exact class and field tuple.
 """
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import cached_property
-from typing import Sequence
+from operator import attrgetter
 
 Coord = tuple[int, ...]
+
+# Record constructors store their fields past the frozen __setattr__.
+set_field = object.__setattr__
+
+
+class Record:
+    """An immutable value over the field names in _fields.
+
+    Each subclass writes its own __init__, storing every field with
+    set_field.  repr, equality and hash read the field tuple; equality
+    holds only between objects of the same class, and the hash is the
+    field tuple's.  Assigning or deleting any attribute raises
+    AttributeError.  Instances keep a __dict__, so cached_property works
+    on them."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        get = attrgetter(*cls._fields)
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({body})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class StepTable(dict):
@@ -29,14 +71,13 @@ class StepTable(dict):
         raise ValueError(f"bad step code {step} for this lattice")
 
 
-@dataclass(frozen=True)
-class LatticeSpec:
-    dims: tuple[int, ...]
-    directed: bool
-    t: int
+class LatticeSpec(Record):
+    _fields = ("dims", "directed", "t")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", tuple(self.dims))
+    def __init__(self, dims: Sequence[int], directed: bool, t: int) -> None:
+        set_field(self, "dims", tuple(dims))
+        set_field(self, "directed", directed)
+        set_field(self, "t", t)
         if not self.dims or any(n < 2 for n in self.dims):
             raise ValueError(f"dims {self.dims}: need at least one axis, each of length >= 2")
         if not 1 <= self.t <= self.codes:
@@ -80,16 +121,20 @@ class LatticeSpec:
         return table
 
 
-@dataclass(frozen=True)
-class Edge:
-    root: Coord
-    code: int
+class Edge(Record):
+    _fields = ("root", "code")
+
+    def __init__(self, root: Coord, code: int) -> None:
+        set_field(self, "root", root)
+        set_field(self, "code", code)
 
 
-@dataclass(frozen=True)
-class Walk:
-    start: Coord
-    steps: tuple[int, ...]
+class Walk(Record):
+    _fields = ("start", "steps")
+
+    def __init__(self, start: Coord, steps: tuple[int, ...]) -> None:
+        set_field(self, "start", start)
+        set_field(self, "steps", steps)
 
 
 def in_bounds(u: Sequence[int], spec: LatticeSpec) -> bool:

@@ -9,24 +9,24 @@ demand.
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 from .gfpoly import FieldPrime, coeffs_to_index, interpolate_coeffs, poly_column
+from .lattice import Record, set_field
 
 
-@dataclass(frozen=True)
-class OASpec:
-    p: FieldPrime
-    t: int
-    cols: int
+class OASpec(Record):
+    _fields = ("p", "t", "cols")
 
-    def __post_init__(self) -> None:
-        if self.t < 1:
+    def __init__(self, p: FieldPrime, t: int, cols: int) -> None:
+        set_field(self, "p", p)
+        set_field(self, "t", t)
+        set_field(self, "cols", cols)
+        if t < 1:
             raise ValueError("t must be >= 1")
-        if self.cols < self.t:
+        if cols < t:
             raise ValueError("need at least t columns")
-        if self.cols >= self.p.modulus:
+        if cols >= p.modulus:
             raise ValueError("cols must stay below the modulus so columns are distinct points")
 
     @cached_property

@@ -5,7 +5,6 @@ fault injection, and round-trip drives of the decoders.
 
 import itertools
 import random
-from dataclasses import dataclass
 
 # assign_color and apply_step go unused here; bench/layers.py counts calls
 # made through verifier.assign_color and verifier.apply_step, so both
@@ -16,8 +15,10 @@ from .gfpoly import ceil_nth_root
 from .lattice import (
     Edge,
     LatticeSpec,
+    Record,
     Walk,
     apply_step,
+    set_field,
     unrank,
     walk_dimension,
     walk_nodes,
@@ -57,12 +58,14 @@ def lb_walk_family(spec: LatticeSpec) -> list[Walk]:
 MAX_SCAN_LEN = 64
 
 
-@dataclass(frozen=True)
-class ScanReport:
-    scanned: int
-    max_len: int
-    collisions: tuple
-    ok: bool
+class ScanReport(Record):
+    _fields = ("scanned", "max_len", "collisions", "ok")
+
+    def __init__(self, scanned: int, max_len: int, collisions: tuple, ok: bool) -> None:
+        set_field(self, "scanned", scanned)
+        set_field(self, "max_len", max_len)
+        set_field(self, "collisions", collisions)
+        set_field(self, "ok", ok)
 
 
 def ambiguity_scan(
@@ -301,12 +304,14 @@ def fault_inject(obs: WalkObservation, position: int, new_color: int) -> WalkObs
     return WalkObservation(tuple(colors), obs.params)
 
 
-@dataclass(frozen=True)
-class CampaignReport:
-    label: str
-    total: int
-    ok: int
-    failures: tuple
+class CampaignReport(Record):
+    _fields = ("label", "total", "ok", "failures")
+
+    def __init__(self, label: str, total: int, ok: int, failures: tuple) -> None:
+        set_field(self, "label", label)
+        set_field(self, "total", total)
+        set_field(self, "ok", ok)
+        set_field(self, "failures", failures)
 
     def lines(self) -> str:
         out = [self.label]

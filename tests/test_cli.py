@@ -220,6 +220,37 @@ def test_decode_refuses_a_body_that_is_not_the_export(tmp_path, capsys, edit, me
     assert err == f"error: {coloring} {message}\n"
 
 
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (  # sed 's/$/\r/'
+            lambda data: data.replace(b"\n", b"\r\n"),
+            "line 1: expected '#dims=4x4 directed=1 t=4 sigma=5 scheme=colord', "
+            "found '#dims=4x4 directed=1 t=4 sigma=5 scheme=colord\\r'",
+        ),
+        (  # head -c -1
+            lambda data: data[:-1],
+            "line 49: expected '3,2 4 17', found '3,2 4 17' with no newline",
+        ),
+    ],
+    ids=["crlf", "no-final-newline"],
+)
+def test_decode_compares_the_file_byte_for_byte(tmp_path, capsys, edit, message):
+    """Line ends count: a CRLF copy of an export, or one without its last
+    newline, exits 1 naming the first line that differs, though its text
+    lines are the export's."""
+    coloring = make_coloring(
+        tmp_path, "--dims", "4x4", "--directed", "--t", "4", "--scheme", "colord"
+    )
+    argv = ["decode", "--coloring", str(coloring), "--colors", "41,46,74,59,41,46"]
+    coloring.write_bytes(edit(coloring.read_bytes()))
+    assert coloring.read_text(encoding="utf-8").splitlines() == list(
+        coloring_lines(make_scheme(LatticeSpec((4, 4), True, 4), "colord"))
+    )
+    capsys.readouterr()
+    assert run(capsys, *argv) == (1, "", f"error: {coloring} {message}\n")
+
+
 def test_decode_ambiguous_exits_3(tmp_path, capsys):
     coloring = make_coloring(
         tmp_path, "--dims", "4x4", "--t", "2", "--scheme", "undir"
@@ -571,3 +602,19 @@ def test_python_dash_m_matches_main(module, argv, capsys):
         assert "above the scan cap of 64 steps" in proc.stderr
     else:
         assert (proc.returncode, proc.stdout) == (0, "lower=3 palette=320\n")
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    """Every CLI call starts a fresh interpreter, so its import cost is
+    paid per call: `import latticeobs.cli` in a clean interpreter (no
+    site) loads argparse, which the CLI needs, but none of dataclasses,
+    inspect or typing, which cost more than the rest of its import."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(latticeobs.__file__)))
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import latticeobs.cli; "
+        "print(*(m for m in ('argparse', 'dataclasses', 'inspect', 'typing') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, src], capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "argparse\n", "")

@@ -1,13 +1,14 @@
 """Coloring schemes: assignment, packing, palette accounting, export."""
 
-import dataclasses
 import hashlib
+import inspect
 import itertools
 import random
 import tracemalloc
 
 import pytest
 
+from latticeobs import lattice
 from latticeobs.colorer import (
     SchemeParams,
     assign_color,
@@ -172,12 +173,13 @@ def test_int_sigma_is_checked_after_the_kind(dims_directed_t, kind, sigma, messa
 
 
 def test_scheme_params_takes_lattice_kind_sigma_and_derives_the_rest():
-    fields = dataclasses.fields(SchemeParams)
-    assert [f.name for f in fields if f.init] == ["lattice", "kind", "sigma"]
-    assert [f.name for f in fields if not f.init] == ["group_count", "group_size"]
+    assert list(inspect.signature(SchemeParams).parameters) == ["lattice", "kind", "sigma"]
+    assert inspect.signature(SchemeParams).parameters["sigma"].default is None
     s = spec((5, 5), True, 2)
     with pytest.raises(TypeError):
         SchemeParams(s, "colord", FieldPrime(7), 4, 27)
+    with pytest.raises(TypeError):
+        SchemeParams(s, "colord", group_count=4)
     params = SchemeParams(s, "colord")
     assert params == make_scheme(s, "colord", 7)
     assert (params.sigma.modulus, params.group_count, params.group_size) == (7, 4, 28)
@@ -464,6 +466,21 @@ def test_color_walk_errors():
     for params, w, message in cases:
         with pytest.raises(ValueError, match=message):
             color_walk(w, params)
+
+
+@pytest.mark.parametrize("dims,directed,kind,w", [
+    ((3, 3), True, "colord", Walk((1, 1), (1, 3, 2, 4))),
+    ((3, 3), False, "undir", Walk((2, 0), (-1, 2, 2, -1))),
+    ((4, 4), True, "color2", Walk((0, 3), (1, 4, 3, 2))),
+])
+def test_color_walk_bounds_checks_the_start_once(monkeypatch, dims, directed, kind, w):
+    """walk_nodes checks the start; color_walk ranks it without a second check."""
+    calls = []
+    check = lattice.in_bounds
+    monkeypatch.setattr(lattice, "in_bounds", lambda u, s: calls.append(u) or check(u, s))
+    params = make_scheme(spec(dims, directed, 4 if kind == "color2" else 2), kind)
+    color_walk(w, params)
+    assert calls == [w.start]
 
 
 def test_coloring_lines_format():
