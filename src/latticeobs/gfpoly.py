@@ -168,11 +168,20 @@ def poly_column(x: int, t: int, p: FieldPrime) -> list[int]:
     Horner's rule one coefficient at a time across all indices: after k
     passes the list holds modulus^k entries, entry i being the value at
     x of the k-digit coefficient vector of i.  The next pass extends
-    each entry by every next digit in turn, which keeps index order."""
+    each entry v by every next digit a in turn, which keeps index order.
+    Those m values (v * x + a) % m for a = 0, 1, ... are range(m)
+    rotated to start at s = v * x % m, so each entry is extended by one
+    slice ring[s : s + m] of range(m) laid out twice: one modular step
+    per entry, not per entry and digit."""
     m = p.modulus
+    ring = [*range(m)] * 2
     values = [0]
     for _ in range(t):
-        values = [(v * x + a) % m for v in values for a in range(m)]
+        extended = []
+        for v in values:
+            s = v * x % m
+            extended += ring[s : s + m]
+        values = extended
     return values
 
 

@@ -48,12 +48,15 @@ def oa_validate(spec: OASpec, budget: int = 10_000_000):
     passes it has its exact cost rows * C(cols, t) computed, and that
     cost then has under four times the budget's bits.
 
-    Works by columns: each column's table is built in one Horner pass
-    over all rows (poly_column), and each column subset is checked
-    with one set of its projections.  Memory grows with cols * rows
-    plus that one set.  A subset whose set comes up short is scanned
-    again row by row to name the collision; later subsets then only
-    need the rows before it.
+    Works by columns: each column's table is built by poly_column, t
+    Horner passes that extend every entry by one rotated slice of
+    range(modulus) instead of one modular step per row and digit, and
+    each column subset is checked with one set of its projections.
+    Memory grows with cols * rows plus that one set, which dominates:
+    the tables share the int objects of range(modulus), while the set
+    holds a new t-tuple per row.  A subset whose set comes up short is
+    scanned again row by row to name the collision; later subsets then
+    only need the rows before it.
     """
     floor_bits = spec.t * (spec.p.modulus.bit_length() - 1)
     if budget < 1 or floor_bits >= budget.bit_length():

@@ -227,10 +227,14 @@ def test_poly_eval_reduces_x():
     assert poly_eval((2, 3), 6, P5) == poly_eval((2, 3), 1, P5)
 
 
-@pytest.mark.parametrize("modulus", [2, 3, 5, 7])
-@pytest.mark.parametrize("t", [1, 2, 3, 4])
-def test_poly_column_matches_poly_eval_exhaustive(modulus, t):
-    "Every row's entry, at every x in 0..2p: x = 0 and x >= p included."
+@pytest.mark.parametrize(
+    "t,modulus",
+    [(t, m) for t in (1, 2, 3, 4) for m in (2, 3, 5, 7, 11, 13) if t <= 3 or m <= 7],
+)
+def test_poly_column_matches_poly_eval_exhaustive(t, modulus):
+    """Every row's entry, at every x in 0..2p: x = 0 and x >= p included.
+    At t >= 2 each x coprime to p rotates the column's slices by every
+    offset 0..p - 1."""
     p = FieldPrime(modulus)
     for x in range(2 * modulus + 1):
         assert poly_column(x, t, p) == [

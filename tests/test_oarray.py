@@ -38,7 +38,7 @@ def test_oa_entry_frozen():
 
 @pytest.mark.parametrize(
     "modulus,t,cols",
-    [(3, 2, 2), (5, 2, 4), (7, 3, 3), (5, 1, 4), (11, 2, 6)],
+    [(3, 2, 2), (5, 2, 4), (7, 3, 3), (5, 1, 4), (11, 2, 6), (7, 3, 6)],
 )
 def test_oa_validate_true(modulus, t, cols):
     "Every t-column projection separates all rows."
@@ -155,7 +155,7 @@ def test_oa_validate_matches_reference_scan_on_faults(monkeypatch, fault, modulu
 
 @pytest.mark.parametrize(
     "modulus,t,cols",
-    [(3, 2, 2), (5, 2, 4), (7, 3, 3), (5, 1, 4), (11, 2, 6)],
+    [(3, 2, 2), (5, 2, 4), (7, 3, 3), (5, 1, 4), (11, 2, 6), (7, 3, 6)],
 )
 def test_oa_validate_matches_reference_scan_on_valid_arrays(modulus, t, cols):
     spec = OASpec(FieldPrime(modulus), t, cols)
