@@ -85,6 +85,11 @@ class SchemeParams(Record):
         set_field(self, "group_size", size)
 
     @cached_property
+    def palette(self) -> int:
+        """palette_size, computed once per instance and not a field."""
+        return self.group_count * self.group_size
+
+    @cached_property
     def oa(self) -> OASpec:
         return OASpec(self.sigma, self.lattice.t, self.lattice.codes)
 
@@ -108,7 +113,7 @@ def make_scheme(spec: LatticeSpec, kind: str, sigma: int | None = None) -> Schem
 
 def palette_size(params: SchemeParams) -> int:
     """Number of distinct colors the scheme can emit."""
-    return params.group_count * params.group_size
+    return params.palette
 
 
 def parity_group(coeffs) -> int:
@@ -191,8 +196,8 @@ def color_unpack(c: int, params: SchemeParams) -> tuple:
     packed as parity_group packs them, and the undirected distance
     digits packed base 3, digit 0 lowest.  distance is 0 on colord, and
     color2 carries 0 for both."""
-    if not 0 <= c < palette_size(params):
-        raise ValueError(f"color {c} outside palette of {palette_size(params)}")
+    if not 0 <= c < params.palette:
+        raise ValueError(f"color {c} outside palette of {params.palette}")
     if params.kind == "color2":
         block, value = divmod(c, params.group_size)
         axis, down = divmod(block, 2)

@@ -21,7 +21,7 @@ compare and hash by their exact class and field tuple.
 import math
 from collections.abc import Sequence
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, mul, sub
 
 Coord = tuple[int, ...]
 
@@ -37,7 +37,8 @@ class Record:
     holds only between objects of the same class, and the hash is the
     field tuple's.  Assigning or deleting any attribute raises
     AttributeError.  Instances keep a __dict__, so cached_property works
-    on them."""
+    on them; copies and pickles carry the fields alone, and a cached
+    value is computed again on first use."""
 
     _fields: tuple[str, ...] = ()
 
@@ -63,6 +64,9 @@ class Record:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __getstate__(self) -> dict:
+        return dict(zip(self._fields, self._values(self)))
+
 
 class StepTable(dict):
     """A step table that refuses a code the lattice lacks with ValueError."""
@@ -72,6 +76,9 @@ class StepTable(dict):
 
 
 class LatticeSpec(Record):
+    """Axis lengths, directedness and walk dimension t.  d, codes, size,
+    weights and step_table are computed once per instance, not fields."""
+
     _fields = ("dims", "directed", "t")
 
     def __init__(self, dims: Sequence[int], directed: bool, t: int) -> None:
@@ -83,11 +90,11 @@ class LatticeSpec(Record):
         if not 1 <= self.t <= self.codes:
             raise ValueError(f"t must be in [1, {self.codes}] for this lattice")
 
-    @property
+    @cached_property
     def d(self) -> int:
         return len(self.dims)
 
-    @property
+    @cached_property
     def codes(self) -> int:
         """Edge codes: 2d orientations when directed, d axes when not."""
         return 2 * self.d if self.directed else self.d
@@ -203,20 +210,19 @@ def walk_dimension(w: Walk, spec: LatticeSpec) -> int:
 
 
 def trace_steps(steps: Sequence[int], spec: LatticeSpec) -> tuple[tuple[Coord, ...], int]:
-    """Node offsets relative to the start, plus the index of the
-    lexicographically smallest node reached."""
+    """Node offsets relative to the start, stepped on one list and stored
+    as tuples, plus the index of the lexicographically smallest node
+    reached: its first index when the walk revisits it."""
     table = spec.step_table
-    pos = (0,) * spec.d
-    offsets = [pos]
+    pos = [0] * spec.d
+    offsets = [tuple(pos)]
     for s in steps:
         axis, sign, _, _ = table[s]
-        pos = pos[:axis] + (pos[axis] + sign,) + pos[axis + 1 :]
-        offsets.append(pos)
-    root = min(range(len(offsets)), key=offsets.__getitem__)
-    return tuple(offsets), root
+        pos[axis] += sign
+        offsets.append(tuple(pos))
+    return tuple(offsets), offsets.index(min(offsets))
 
 
 def rank_difference(offsets, i: int, j: int, spec: LatticeSpec) -> int:
     """rank(node_i) - rank(node_j), computed from relative offsets alone."""
-    oi, oj = offsets[i], offsets[j]
-    return sum((a - b) * w for a, b, w in zip(oi, oj, spec.weights))
+    return sum(map(mul, map(sub, offsets[i], offsets[j]), spec.weights))

@@ -217,3 +217,30 @@ def test_in_bounds():
     assert in_bounds((2, 2), D33)
     assert not in_bounds((3, 0), D33)
     assert not in_bounds((0, -1), D33)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [D33, U33, LatticeSpec((2, 2, 2), directed=False, t=2)],
+    ids=["directed-3x3", "undirected-3x3", "undirected-2x2x2"],
+)
+def test_trace_steps_matches_walk_nodes_exhaustive(spec):
+    """Every step sequence up to length 4: the offsets are walk_nodes'
+    nodes minus the start, with the start placed so the walk fits (on a
+    lattice of axes 5 long when it does not fit spec), and the root index
+    is the first index of the smallest node, revisits included."""
+    wide = LatticeSpec((5,) * spec.d, spec.directed, 1)
+    revisited_minimum = 0
+    for length in range(5):
+        for steps in itertools.product(spec.step_table, repeat=length):
+            offsets, root = trace_steps(steps, spec)
+            lows = [min(o[a] for o in offsets) for a in range(spec.d)]
+            highs = [max(o[a] for o in offsets) for a in range(spec.d)]
+            fits = all(hi - lo < n for lo, hi, n in zip(lows, highs, spec.dims))
+            start = tuple(-lo for lo in lows)
+            nodes = walk_nodes(Walk(start, steps), spec if fits else wide)
+            assert offsets == tuple(tuple(x - s for x, s in zip(u, start)) for u in nodes)
+            smallest = min(nodes)
+            assert root == next(i for i, u in enumerate(nodes) if u == smallest)
+            revisited_minimum += nodes.count(smallest) > 1
+    assert revisited_minimum

@@ -143,3 +143,51 @@ def test_cached_properties_live_beside_the_fields():
     assert repr(spec) == SPEC and spec == LatticeSpec((3, 3), True, 2)
     assert repr(params) == PARAMS and params == _params()
     assert hash(params) == hash(_params())
+
+
+SPEC_CACHED = ("d", "codes", "size", "weights", "step_table")
+PARAMS_CACHED = ("palette", "oa", "row_table")
+
+
+def _cached_values(record) -> dict:
+    """Every cached value of a LatticeSpec, or of a SchemeParams and its lattice."""
+    spec = getattr(record, "lattice", record)
+    values = {name: getattr(spec, name) for name in SPEC_CACHED}
+    if record is not spec:
+        values |= {name: getattr(record, name) for name in PARAMS_CACHED}
+    return values
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: LatticeSpec((3, 3), True, 2), _params], ids=["LatticeSpec", "SchemeParams"]
+)
+def test_cached_values_stay_out_of_identity(make):
+    """A record whose cached values have been read equals, hashes, prints,
+    copies and pickles exactly as a fresh one; its copies compute the same
+    values again; and it refuses assignment and deletion of every cached
+    name as of every field."""
+    warm, fresh = make(), make()
+    cached = _cached_values(warm)
+    assert [cached[name] for name in SPEC_CACHED[:4]] == [2, 4, 9, (3, 1)]
+    assert cached["step_table"][3] == (0, -1, -3, 3)
+    spec = getattr(warm, "lattice", warm)
+    targets = [(spec, FIELDS[LatticeSpec] + SPEC_CACHED)]
+    if warm is not spec:
+        assert (cached["palette"], cached["oa"].cols, len(cached["row_table"])) == (80, 4, 5)
+        targets.append((warm, FIELDS[SchemeParams] + PARAMS_CACHED))
+    assert warm == fresh and fresh == warm
+    assert hash(warm) == hash(fresh) and repr(warm) == repr(fresh)
+    assert pickle.dumps(warm) == pickle.dumps(fresh)
+    for twin in (copy.copy(warm), copy.deepcopy(warm), pickle.loads(pickle.dumps(warm))):
+        assert type(twin) is type(warm) and twin == fresh
+        assert hash(twin) == hash(fresh) and repr(twin) == repr(fresh)
+        assert set(vars(twin)) == set(FIELDS[type(warm)])
+        assert _cached_values(twin) == cached
+    for record, names in targets:
+        for name in names:
+            value = getattr(record, name)
+            with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+                setattr(record, name, value)
+            with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+                delattr(record, name)
+            assert getattr(record, name) is value
