@@ -8,7 +8,10 @@
     latticeobs verify bound --dims 16x16 --t 4
 
 Exit codes: 0 success, 1 I/O or verification failure, 2 invalid
-parameters, 3 ambiguous observation, 4 invalid observation.
+parameters (any ValueError), 3 ambiguous observation, 4 invalid
+observation.  `color` refuses a lattice of more than 2^63 nodes with
+exit 2 before it creates a file: its export would have at least N/2
+lines of at least 6 bytes, more than a 64-bit file offset can address.
 """
 
 import argparse
@@ -89,6 +92,10 @@ def _write_atomic(path: str, lines) -> None:
 
 def cmd_color(args) -> int:
     params = _make_params(args)
+    if params.lattice.size > 1 << 63:
+        raise ValueError("lattice has more than 2^63 nodes, too many to export: a coloring of N "
+                         "nodes has at least N/2 lines of at least 6 bytes, more than a 64-bit "
+                         "file offset can address")
     _write_atomic(args.out, coloring_lines(params))
     sig = params.sigma.modulus if params.sigma else 0
     print(
@@ -244,7 +251,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -129,8 +129,9 @@ def _distance_group(u, spec: LatticeSpec) -> int:
 
     Digit 0 is the coordinate sum mod 3.  Digit q >= 1 is
     (sum + n_q - 2 u_q) mod 3, one more than u's distance to the corner
-    with coordinate q maxed out; recover_signs compensates for the
-    offset.  d - t + 2 digits in total, digit 0 lowest."""
+    with coordinate q maxed out; recover_signs reads only differences
+    between adjacent edges, so the offset cancels.  d - t + 2 digits in
+    total, digit 0 lowest."""
     s = sum(u)
     group, weight = s % 3, 3
     for q in range(spec.d - spec.t + 1):

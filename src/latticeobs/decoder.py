@@ -216,16 +216,16 @@ def recover_signs(obs: WalkObservation, parts=None) -> list[int]:
     when given, are its colors already unpacked.
 
     Every color carries one distance digit per reference corner, packed
-    base 3: stream q reads distance // 3**q % 3.  Each stream is first
-    normalized to "the nearer endpoint's distance mod 3" (the stored
-    digit sits one past it, one more again when the edge runs along the
-    corner's own axis, where the lexicographic root is the farther
-    endpoint).  Between consecutive edges the nearer-end distance then
-    moves +1 when both traversals head away from the corner, -1 when
-    both head toward it, and 0 when they oppose; any unequal adjacent
-    pair pins every direction.  A stream with no unequal pair says
-    nothing, and if all streams are constant the observation is
-    ambiguous.
+    base 3, and every stream q is read with one rule,
+    (distance // 3**q - (code == q)) % 3: an edge along the corner's own
+    axis (code q; no code is 0) is rooted at its farther endpoint, one
+    past the nearer.  A stream's shared offset, like the +1 of q >= 1,
+    cancels: only differences between adjacent edges are read.  The
+    nearer-end distance moves +1 between edges that both head away from
+    the corner, -1 when both head toward it, 0 when they oppose; any
+    unequal adjacent pair pins every direction (flipped on the corner's
+    own axis, where away is down).  A stream with no unequal pair says
+    nothing; if all are constant the observation is ambiguous.
     """
     params = obs.params
     spec = params.lattice
@@ -233,21 +233,14 @@ def recover_signs(obs: WalkObservation, parts=None) -> list[int]:
         raise ValueError("sign recovery reads undir scheme digits")
     if parts is None:
         parts = [color_unpack(c, params) for c in obs.colors]
-    for stream in range(spec.d - spec.t + 2):
-        weight = 3**stream
-        ideals = []
-        for code, _, _, distance in parts:
-            dig = distance // weight % 3
-            if stream > 0:
-                dig = (dig - 1 - (code == stream)) % 3
-            ideals.append(dig)
-        rel = _alternation_signs(ideals)
-        if rel is None:
-            continue
-        if stream == 0:
-            return rel
-        # toward/away flips meaning on the corner's own axis
-        return [-s if part[0] == stream else s for part, s in zip(parts, rel)]
+    weight = 1
+    for q in range(spec.d - spec.t + 2):
+        rel = _alternation_signs([(distance // weight - (code == q)) % 3
+                                  for code, _, _, distance in parts])
+        if rel is not None:
+            # toward/away flips meaning on the corner's own axis
+            return [-s if part[0] == q else s for part, s in zip(parts, rel)]
+        weight *= 3
     raise AmbiguousObservation("every distance stream is constant")
 
 

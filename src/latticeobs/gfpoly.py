@@ -132,19 +132,17 @@ def next_prime_above(m: int) -> FieldPrime:
 def ceil_nth_root(value: int, k: int) -> int:
     """Smallest c >= 1 with c**k >= value.
 
-    That is one more than the floor root f of n = value - 1.  A float
-    estimate, doubled until its k-th power exceeds n, starts integer
-    Newton above f; each Newton step falls strictly until it reaches f,
-    and from a start within a factor of two that takes a few steps at
-    any size.  A value too large for a float raises OverflowError."""
+    That is one more than the floor root f of n = value - 1.  Integer
+    Newton starts from 2**ceil(bits / k), where n < 2**bits, so the
+    start's k-th power exceeds n and the start lies above f, within a
+    factor of two of the true root; each Newton step falls strictly
+    until it reaches f.  No float is used, so any int is sized."""
     if k < 1:
         raise ValueError("root degree must be >= 1")
     if value <= 1:
         return 1
     n = value - 1
-    x = int(n ** (1.0 / k)) + 1
-    while x**k <= n:
-        x *= 2
+    x = 1 << -(-n.bit_length() // k)
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:

@@ -567,6 +567,33 @@ def test_verify_bound_on_10_to_36_nodes(capsys):
     assert stdout.strip() == f"lower={lower} palette={4 * 6 * (10**18 + 3)}"
 
 
+def test_verify_bound_on_10_to_400_nodes(capsys):
+    "Past any float: sigma = 10^200 + 357, the first prime above 10^200."
+    t0 = time.perf_counter()
+    code, stdout, _ = run(
+        capsys, "verify", "bound", "--dims", "x".join(["1" + "0" * 200] * 2), "--t", "2"
+    )
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0
+    # lower = ceil(sqrt(10^400 / 2^2)); palette = 2^2 parity groups * 4 codes * sigma
+    assert stdout.strip() == f"lower={5 * 10**199} palette={16 * (10**200 + 357)}"
+
+
+def test_color_refuses_more_than_2_to_63_nodes(tmp_path, capsys):
+    """2^63 + 2^32 nodes: the export would pass a 64-bit file offset, so
+    it is refused at once, and no file is created."""
+    out = tmp_path / "big.txt"
+    t0 = time.perf_counter()
+    code, stdout, err = run(
+        capsys, "color", "--dims", "4294967296x2147483649", "--t", "2", "--out", str(out)
+    )
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert stdout == ""
+    assert "error: lattice has more than 2^63 nodes, too many to export" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_entry_raises_system_exit(monkeypatch, capsys):
     from latticeobs.cli import entry
 

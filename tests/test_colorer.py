@@ -689,6 +689,9 @@ def test_parse_header_rejects_malformed():
         parse_header("#dims=x4 directed=1 t=2 sigma=5 scheme=colord")
     with pytest.raises(ValueError, match="header sigma 0 does not match scheme colord"):
         parse_header("#dims=4x4 directed=1 t=2 sigma=0 scheme=colord")
+    # a value holding "=" stays whole: each field splits at its first "=" only
+    with pytest.raises(ValueError, match="unknown scheme kind 'col=ord'"):
+        parse_header("#dims=4x4 directed=1 t=2 sigma=5 scheme=col=ord")
     # any line but the one format_header writes is refused
     for line in (
         "#dims=4x4 directed=2 t=2 sigma=5 scheme=colord",

@@ -180,6 +180,13 @@ def test_field_prime_rejects_composite():
         ((10**25 + 99) ** 2 + 1, 2, 10**25 + 100),
         ((10**25 + 99) ** 3, 3, 10**25 + 99),
         ((10**25 + 99) ** 3 - 1, 3, 10**25 + 99),
+        # past any float (about 10^308): the Newton seed is a power of two
+        ((10**400 + 7) ** 2, 2, 10**400 + 7),
+        ((10**400 + 7) ** 2 + 1, 2, 10**400 + 8),
+        ((10**200 + 3) ** 5 - 1, 5, 10**200 + 3),
+        (10**331 + 5, 1, 10**331 + 5),
+        (2**1100, 1, 2**1100),
+        (2**1100 + 1, 4, 2**275 + 1),
     ],
 )
 def test_ceil_nth_root_frozen(value, k, expected):

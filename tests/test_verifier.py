@@ -598,16 +598,23 @@ def test_roundtrip_campaign_undirected():
         ((10**150,) * 2, True, 2, "colord", 10**150 + 67),
         ((10**10,) * 3, False, 2, "undir", 10**15 + 37),
         ((10**9,) * 2, True, 4, "color2", None),
+        # past any float: sized by integer Newton alone
+        ((10**165,) * 2, True, 2, "colord", 10**165 + 559),
+        ((10**110,) * 3, False, 2, "undir", 10**165 + 559),
     ],
-    ids=["colord-1e18", "colord-1e60", "colord-1e300", "undir-1e30", "color2-1e18"],
+    ids=["colord-1e18", "colord-1e60", "colord-1e300", "undir-1e30", "color2-1e18",
+         "colord-1e330", "undir-1e330"],
 )
 def test_roundtrip_campaign_on_huge_lattices(dims, directed, t, kind, sigma):
-    "10^18 to 10^300 nodes: sized in milliseconds, every walk decoded exactly."
+    """10^18 to 10^330 nodes: sized and round-tripped in under a second,
+    every walk decoded exactly."""
+    t0 = time.perf_counter()
     params = make_scheme(spec(dims, directed, t), kind)
     assert (params.sigma.modulus if params.sigma else None) == sigma
     report = roundtrip_campaign(
         params, t=t, n_walks=40, length=t + 4, seed=17, min_distinct_edges=2
     )
+    assert time.perf_counter() - t0 < 1.0
     assert (report.ok, report.total) == (40, 40)
 
 
