@@ -67,14 +67,16 @@ def _newline_chunks(lines):
 
 
 def _write_atomic(path: str, lines) -> None:
-    """Write the lines to a temp file beside path, then rename it over
-    path.  A directory, or a path ending in a separator, is refused
-    before anything is written, and an OSError names path, never the
-    temp file."""
-    target = os.path.abspath(path)
+    """Write the lines to a temp file beside the file path resolves to
+    (through any symlink), then rename it over that file.  A path ending
+    in a separator, or naming anything but a regular file, is refused
+    before anything is written; an OSError names path, never the temp file."""
+    target = os.path.realpath(path)
     try:
         if not os.path.basename(path) or os.path.isdir(target):
             raise IsADirectoryError("Is a directory")
+        if os.path.lexists(target) and not os.path.isfile(target):
+            raise OSError("not a regular file")
         tmp = os.path.join(os.path.dirname(target), f".latticeobs-{os.urandom(8).hex()}")
         # "x" never takes an existing name; the mode is 0o666 less the umask, as open() gives
         fh = open(tmp, "x", encoding="utf-8", newline="\n")
@@ -114,9 +116,9 @@ def _as_read(line) -> str:
 
 
 def cmd_decode(args) -> int:
-    # newline="\n", as `color` writes: lines split at LF only and keep
-    # their ends, so a CR or a missing last newline is read as it is
-    with open(args.coloring, encoding="utf-8", newline="\n") as fh:
+    # newline="\n", as `color` writes, and bytes that are not UTF-8 kept as
+    # surrogates: a CR, a missing last newline or a bad byte is read as it is
+    with open(args.coloring, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
         head = fh.readline()
         # a CRLF header still parses, so the byte check names its line end
         params = parse_header(head.removesuffix("\n").removesuffix("\r"))

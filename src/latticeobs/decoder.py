@@ -8,9 +8,9 @@ scheme kind, in five stages:
   signs    read each step's traversal direction: from the code on
            directed lattices, from the distance digits on undirected
            ones (recover_signs);
-  trace    rebuild the walk's shape relative to its start and find its
-           lexicographically smallest node;
-  locate   place that minimum absolutely;
+  trace    rebuild the walk's shape and rank changes relative to its
+           start and find its lexicographically smallest node;
+  locate   place that minimum absolutely, reading rank gaps off the trace;
   verify   recolor the placed walk once and demand an exact match, the
            one placement check; the embedding is the start plus the
            offsets the trace found.
@@ -33,7 +33,7 @@ from .colorer import SchemeParams, color_unpack, color_walk
 from .gfpoly import FieldPrime, poly_eval
 # walk_nodes goes unused here; bench/layers.py times calls made through
 # decoder.walk_nodes, so the name stays importable from this module.
-from .lattice import Record, Walk, rank_difference, set_field, trace_steps, unrank, walk_nodes
+from .lattice import Record, Walk, set_field, trace_steps, unrank, walk_nodes
 from .oarray import oa_row_from_projection
 
 OK = "ok"
@@ -133,8 +133,8 @@ def decode(obs: WalkObservation) -> DecodeReport:
             steps = [a * s for a, s in zip(codes, signs)]
         if len(set(codes)) < spec.t:
             raise ObservationError("walk spans fewer than t orientations")
-        offsets, root_idx = trace_steps(steps, spec)
-        start = locate(params, parts, signs, offsets, root_idx)
+        offsets, ranks, root_idx = trace_steps(steps, spec)
+        start = locate(params, parts, codes, signs, offsets, ranks, root_idx)
         try:
             recolored = color_walk(Walk(start, tuple(steps)), params)
         except ValueError:
@@ -152,7 +152,7 @@ def decode(obs: WalkObservation) -> DecodeReport:
     )
 
 
-def _locate_oa(params, parts, signs, offsets, root_idx) -> tuple:
+def _locate_oa(params, parts, codes, signs, offsets, ranks, root_idx) -> tuple:
     """Start node from the orthogonal-array row of the walk's minimum.
 
     The first edge of each of the t smallest codes gives one column; its
@@ -163,14 +163,13 @@ def _locate_oa(params, parts, signs, offsets, root_idx) -> tuple:
     """
     spec = params.lattice
     p, t = params.sigma, spec.t
-    codes = [part[0] for part in parts]
     anchor_parity = parts[root_idx - 1 if root_idx else 0][2]
     columns = sorted(set(codes))[:t]
     values = []
     for column in columns:
         pos = codes.index(column)
         k = pos if signs[pos] > 0 else pos + 1
-        gap = rank_difference(offsets, k, root_idx, spec)
+        gap = ranks[k] - ranks[root_idx]
         _, value, parity, _ = parts[pos]
         deltas = recover_coef_diffs(gap, parity, anchor_parity, t, p)
         # entries are linear in the coefficients
@@ -182,7 +181,7 @@ def _locate_oa(params, parts, signs, offsets, root_idx) -> tuple:
     return tuple(r - o for r, o in zip(root, offsets[root_idx]))
 
 
-def _locate_color2(params, parts, signs, offsets, root_idx) -> tuple:
+def _locate_color2(params, parts, codes, signs, offsets, ranks, root_idx) -> tuple:
     """Start node of a color2 walk, one coordinate per axis.
 
     Each axis needs one up/down alternation among its parallel edges;
@@ -194,7 +193,7 @@ def _locate_color2(params, parts, signs, offsets, root_idx) -> tuple:
     for axis in range(d):
         # decode demands all t = 2d codes, so every axis alternates
         prev = None
-        for pos, (code, _, _, _) in enumerate(parts):
+        for pos, code in enumerate(codes):
             if (code - 1) % d != axis:
                 continue
             if prev is not None and signs[pos] != signs[prev]:

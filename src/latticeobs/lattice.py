@@ -21,7 +21,7 @@ compare and hash by their exact class and field tuple.
 import math
 from collections.abc import Sequence
 from functools import cached_property
-from operator import attrgetter, mul, sub
+from operator import attrgetter
 
 Coord = tuple[int, ...]
 
@@ -209,20 +209,17 @@ def walk_dimension(w: Walk, spec: LatticeSpec) -> int:
     return len({spec.step_table[s][3] for s in w.steps})
 
 
-def trace_steps(steps: Sequence[int], spec: LatticeSpec) -> tuple[tuple[Coord, ...], int]:
-    """Node offsets relative to the start, stepped on one list and stored
-    as tuples, plus the index of the lexicographically smallest node
-    reached: its first index when the walk revisits it."""
+def trace_steps(steps: Sequence[int],
+                spec: LatticeSpec) -> tuple[tuple[Coord, ...], list[int], int]:
+    """Each node's offset (a tuple) and rank change from the start, and
+    the first index of the lexicographically smallest node reached."""
     table = spec.step_table
     pos = [0] * spec.d
     offsets = [tuple(pos)]
+    ranks = [0]
     for s in steps:
-        axis, sign, _, _ = table[s]
+        axis, sign, dr, _ = table[s]
         pos[axis] += sign
         offsets.append(tuple(pos))
-    return tuple(offsets), offsets.index(min(offsets))
-
-
-def rank_difference(offsets, i: int, j: int, spec: LatticeSpec) -> int:
-    """rank(node_i) - rank(node_j), computed from relative offsets alone."""
-    return sum(map(mul, map(sub, offsets[i], offsets[j]), spec.weights))
+        ranks.append(ranks[-1] + dr)
+    return tuple(offsets), ranks, offsets.index(min(offsets))

@@ -135,6 +135,40 @@ def test_color_out_errors_name_the_given_path(tmp_path, capsys, monkeypatch, out
     assert not list(work.iterdir())
 
 
+@pytest.mark.parametrize("link", [False, True], ids=["fifo", "symlink-to-fifo"])
+def test_color_refuses_an_out_that_is_not_a_regular_file(tmp_path, capsys, monkeypatch, link):
+    """A FIFO --out, or a symlink to one, is refused with exit 1 before any
+    temp file exists; the message names the --out given, and the FIFO and
+    the link are left as they were."""
+    monkeypatch.chdir(tmp_path)
+    os.mkfifo("fifo")
+    out = "fifo"
+    if link:
+        os.symlink("fifo", "link")
+        out = "link"
+    code, stdout, err = run(capsys, "color", "--dims", "3x3", "--t", "2", "--out", out)
+    assert (code, stdout) == (1, "")
+    assert err == f"error: cannot write --out {out}: not a regular file\n"
+    assert stat.S_ISFIFO(os.stat("fifo").st_mode)
+    assert os.path.islink("link") == link
+    assert sorted(os.listdir()) == sorted(["fifo", "link"][: 1 + link])
+
+
+def test_color_writes_through_a_symlink_to_a_regular_file(tmp_path, capsys):
+    "A symlink --out to a regular file gets the export there, and stays a symlink."
+    target, link = tmp_path / "c.txt", tmp_path / "link"
+    target.write_bytes(b"old\n")
+    link.symlink_to(target.name)
+    assert main(["color", "--dims", "3x3", "--t", "2", "--out", str(link)]) == 0
+    capsys.readouterr()
+    assert link.is_symlink() and os.readlink(link) == target.name
+    params = make_scheme(LatticeSpec((3, 3), False, 2), "undir")
+    assert target.read_text(encoding="utf-8") == "".join(
+        line + "\n" for line in coloring_lines(params)
+    )
+    assert sorted(tmp_path.iterdir()) == [target, link]
+
+
 def test_color_output_is_byte_identical_across_runs(tmp_path, capsys):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     for path in (a, b):
@@ -249,6 +283,35 @@ def test_decode_compares_the_file_byte_for_byte(tmp_path, capsys, edit, message)
     )
     capsys.readouterr()
     assert run(capsys, *argv) == (1, "", f"error: {coloring} {message}\n")
+
+
+def test_decode_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys):
+    """A 0xff byte in the body is a mismatch like any other: exit 1,
+    naming its line, with the byte shown as the surrogate it reads as."""
+    coloring = make_coloring(
+        tmp_path, "--dims", "4x4", "--directed", "--t", "4", "--scheme", "colord"
+    )
+    lines = coloring.read_bytes().split(b"\n")
+    assert lines[3] == b"0,0 3 10"
+    lines[3] = b"0,\xff 3 10"
+    coloring.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    code, stdout, err = run(
+        capsys, "decode", "--coloring", str(coloring), "--colors", "41,46,74,59,41,46"
+    )
+    assert (code, stdout) == (1, "")
+    assert err == f"error: {coloring} line 4: expected '0,0 3 10', found '0,\\udcff 3 10'\n"
+
+
+def test_decode_header_that_is_not_utf8_exits_2(tmp_path, capsys):
+    "A 0xff byte in the header is still refused by parse_header, exit 2."
+    coloring = make_coloring(
+        tmp_path, "--dims", "4x4", "--directed", "--t", "4", "--scheme", "colord"
+    )
+    coloring.write_bytes(coloring.read_bytes().replace(b"colord", b"color\xff", 1))
+    capsys.readouterr()
+    code, stdout, err = run(capsys, "decode", "--coloring", str(coloring), "--colors", "0")
+    assert (code, stdout, err) == (2, "", "error: unknown scheme kind 'color\\udcff'\n")
 
 
 def test_decode_ambiguous_exits_3(tmp_path, capsys):

@@ -455,7 +455,7 @@ def test_parity_mismatch_at_solved_root_is_invalid(monkeypatch):
                 if not solved or solved[0] >= s.size:
                     continue
                 parts = [color_unpack(color, params) for color in faulted.colors]
-                _, root_idx = trace_steps([part[0] for part in parts], s)
+                _, _, root_idx = trace_steps([part[0] for part in parts], s)
                 anchor = parts[root_idx - 1 if root_idx else 0][2]
                 if parity_group(base_digits(solved[0], t, p)) != anchor:
                     assert report.status == INVALID

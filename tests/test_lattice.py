@@ -13,7 +13,6 @@ from latticeobs.lattice import (
     edge_endpoints,
     in_bounds,
     rank,
-    rank_difference,
     trace_steps,
     unrank,
     walk_dimension,
@@ -177,40 +176,23 @@ def test_walk_dimension_frozen():
 
 
 def test_trace_steps_frozen():
-    offsets, root = trace_steps((1, 2), D33)
+    offsets, ranks, root = trace_steps((1, 2), D33)
     assert offsets == ((0, 0), (1, 0), (1, 1))
+    assert ranks == [0, 3, 4]
     assert root == 0
-    offsets, root = trace_steps((3, 2), D33)
+    offsets, ranks, root = trace_steps((3, 2), D33)
     assert offsets == ((0, 0), (-1, 0), (-1, 1))
+    assert ranks == [0, -3, -2]
     assert root == 1
+    assert trace_steps((4,), D33)[1] == [0, -1]
 
 
 def test_trace_steps_revisit_reports_first():
     # square cycle: the start reappears at index 4, root stays index 0
-    offsets, root = trace_steps((1, 2, 3, 4), D33)
+    offsets, ranks, root = trace_steps((1, 2, 3, 4), D33)
     assert offsets[0] == offsets[4] == (0, 0)
+    assert ranks[0] == ranks[4] == 0
     assert root == 0
-
-
-def test_rank_difference_frozen():
-    offsets, _ = trace_steps((1, 2), D33)
-    assert rank_difference(offsets, 0, 0, D33) == 0
-    assert rank_difference(offsets, 2, 0, D33) == 4
-    offsets, _ = trace_steps((4,), D33)
-    assert rank_difference(offsets, 1, 0, D33) == -1
-
-
-def test_rank_difference_equals_rank_subtraction():
-    spec = LatticeSpec((3, 4, 2), directed=True, t=3)
-    start = (1, 2, 1)
-    w = Walk(start, (1, 2, 6, 5, 3))
-    nodes = walk_nodes(w, spec)
-    offsets, _ = trace_steps(w.steps, spec)
-    for i in range(len(nodes)):
-        for j in range(len(nodes)):
-            assert rank_difference(offsets, i, j, spec) == rank(
-                nodes[i], spec
-            ) - rank(nodes[j], spec)
 
 
 def test_in_bounds():
@@ -227,20 +209,27 @@ def test_in_bounds():
 def test_trace_steps_matches_walk_nodes_exhaustive(spec):
     """Every step sequence up to length 4: the offsets are walk_nodes'
     nodes minus the start, with the start placed so the walk fits (on a
-    lattice of axes 5 long when it does not fit spec), and the root index
-    is the first index of the smallest node, revisits included."""
+    lattice of axes 5 long when it does not fit spec); the ranks are the
+    offsets' weighted sums, and rank(u) - rank(start) when the walk fits
+    spec; the root index is the first index of the smallest node,
+    revisits included."""
     wide = LatticeSpec((5,) * spec.d, spec.directed, 1)
-    revisited_minimum = 0
+    revisited_minimum = fitted = 0
     for length in range(5):
         for steps in itertools.product(spec.step_table, repeat=length):
-            offsets, root = trace_steps(steps, spec)
+            offsets, ranks, root = trace_steps(steps, spec)
+            assert ranks == [sum(x * w for x, w in zip(o, spec.weights)) for o in offsets]
             lows = [min(o[a] for o in offsets) for a in range(spec.d)]
             highs = [max(o[a] for o in offsets) for a in range(spec.d)]
             fits = all(hi - lo < n for lo, hi, n in zip(lows, highs, spec.dims))
             start = tuple(-lo for lo in lows)
             nodes = walk_nodes(Walk(start, steps), spec if fits else wide)
             assert offsets == tuple(tuple(x - s for x, s in zip(u, start)) for u in nodes)
+            if fits:
+                fitted += 1
+                assert ranks == [rank(u, spec) - rank(start, spec) for u in nodes]
             smallest = min(nodes)
             assert root == next(i for i, u in enumerate(nodes) if u == smallest)
             revisited_minimum += nodes.count(smallest) > 1
     assert revisited_minimum
+    assert fitted
