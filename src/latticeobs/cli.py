@@ -68,11 +68,13 @@ def _newline_chunks(lines):
 
 def _write_atomic(path: str, lines) -> None:
     """Write the lines to a temp file beside the file path resolves to
-    (through any symlink), then rename it over that file.  A path ending
-    in a separator, or naming anything but a regular file, is refused
-    before anything is written; an OSError names path, never the temp file."""
+    (through any symlink), then rename it over that file.  An empty path,
+    one ending in a separator, or one naming anything but a regular file
+    is refused before anything is written; an OSError names path, never the temp file."""
     target = os.path.realpath(path)
     try:
+        if not path:
+            raise FileNotFoundError("No such file or directory")
         if not os.path.basename(path) or os.path.isdir(target):
             raise IsADirectoryError("Is a directory")
         if os.path.lexists(target) and not os.path.isfile(target):

@@ -8,12 +8,12 @@ scheme kind, in five stages:
   signs    read each step's traversal direction: from the code on
            directed lattices, from the distance digits on undirected
            ones (recover_signs);
-  trace    rebuild the walk's shape and rank changes relative to its
-           start and find its lexicographically smallest node;
-  locate   place that minimum absolutely, reading rank gaps off the trace;
+  trace    each node's rank change from the start, and the first index
+           of the smallest: the lexicographic minimum on a walk that fits;
+  locate   place the start, reading rank gaps off the trace;
   verify   recolor the placed walk once and demand an exact match, the
-           one placement check; the embedding is the start plus the
-           offsets the trace found.
+           one placement check; only then does walk_nodes step the
+           placed walk for the report's nodes.
 
 Only `locate` depends on the scheme kind: colord and undir solve the
 minimum's orthogonal-array row from color-value differences, color2
@@ -27,12 +27,8 @@ placement, so it does not mean that two walks fit, and many such
 sequences fit none.  Reports never guess.
 """
 
-from operator import add
-
 from .colorer import SchemeParams, color_unpack, color_walk
 from .gfpoly import FieldPrime, poly_eval
-# walk_nodes goes unused here; bench/layers.py times calls made through
-# decoder.walk_nodes, so the name stays importable from this module.
 from .lattice import Record, Walk, set_field, trace_steps, unrank, walk_nodes
 from .oarray import oa_row_from_projection
 
@@ -91,6 +87,8 @@ def recover_coef_diffs(
     coefficient difference up to one borrow of the modulus; the known
     parities pick the single candidate in (-modulus, modulus) because
     the modulus is odd, which SchemeParams guarantees by refusing 2.
+    decode passes only gaps above the walk's smallest rank, so the
+    negative-gap refusal serves direct callers.
     """
     m = p.modulus
     if ell < 0:
@@ -133,10 +131,11 @@ def decode(obs: WalkObservation) -> DecodeReport:
             steps = [a * s for a, s in zip(codes, signs)]
         if len(set(codes)) < spec.t:
             raise ObservationError("walk spans fewer than t orientations")
-        offsets, ranks, root_idx = trace_steps(steps, spec)
-        start = locate(params, parts, codes, signs, offsets, ranks, root_idx)
+        ranks, root_idx = trace_steps(steps, spec)
+        start = locate(params, parts, codes, signs, ranks, root_idx)
+        walk = Walk(start, tuple(steps))
         try:
-            recolored = color_walk(Walk(start, tuple(steps)), params)
+            recolored = color_walk(walk, params)
         except ValueError:
             raise ObservationError("placed walk leaves the lattice") from None
         if recolored != obs.colors:
@@ -145,21 +144,22 @@ def decode(obs: WalkObservation) -> DecodeReport:
         return DecodeReport(AMBIGUOUS)
     except ObservationError:
         return DecodeReport(INVALID)
-    # color_walk checked every start + offset; the list sizes the tuple exactly
-    nodes = tuple([tuple(map(add, start, off)) for off in offsets])
+    # the placed walk fits the lattice, so its smallest rank is its smallest node
+    nodes = tuple(walk_nodes(walk, spec))
     return DecodeReport(
         OK, root=nodes[root_idx], root_index=root_idx, current=nodes[-1], embedding=nodes
     )
 
 
-def _locate_oa(params, parts, codes, signs, offsets, ranks, root_idx) -> tuple:
+def _locate_oa(params, parts, codes, signs, ranks, root_idx) -> tuple:
     """Start node from the orthogonal-array row of the walk's minimum.
 
     The first edge of each of the t smallest codes gives one column; its
     root is walk node pos or pos + 1, by the step's sign.  Any walk edge
     incident to the minimum is rooted there, so its parity bits describe
     the minimum's row; verify recolors that edge from the solved row,
-    so a row with other parities fails there.
+    so a row with other parities fails there.  The minimum's rank change
+    is at most 0, so one size check covers the row and the start.
     """
     spec = params.lattice
     p, t = params.sigma, spec.t
@@ -175,34 +175,35 @@ def _locate_oa(params, parts, codes, signs, offsets, ranks, root_idx) -> tuple:
         # entries are linear in the coefficients
         values.append((value - poly_eval(deltas, column, p)) % p.modulus)
     row = oa_row_from_projection(columns, values, params.oa)
-    if row >= spec.size:
+    start_rank = row - ranks[root_idx]
+    if start_rank >= spec.size:
         raise ObservationError("solved rank is outside the lattice")
-    root = unrank(row, spec)
-    return tuple(r - o for r, o in zip(root, offsets[root_idx]))
+    return unrank(start_rank, spec)
 
 
-def _locate_color2(params, parts, codes, signs, offsets, ranks, root_idx) -> tuple:
+def _locate_color2(params, parts, codes, signs, ranks, root_idx) -> tuple:
     """Start node of a color2 walk, one coordinate per axis.
 
     Each axis needs one up/down alternation among its parallel edges;
     the two edges cross the same level, so the up edge's color holds
-    that coordinate's quotient and the down edge's its remainder.
+    that coordinate's quotient and the down edge's its remainder.  A
+    running sum of the axis's step signs places the up edge's tail.
     """
     r, d = params.group_size, params.lattice.d
     start = []
     for axis in range(d):
         # decode demands all t = 2d codes, so every axis alternates
-        prev = None
+        prev, level = None, 0
         for pos, code in enumerate(codes):
             if (code - 1) % d != axis:
                 continue
             if prev is not None and signs[pos] != signs[prev]:
                 break
-            prev = pos
+            prev, level = pos, level + signs[pos]
         upos, dpos = (prev, pos) if signs[prev] > 0 else (pos, prev)
         coord = parts[upos][1] * r + parts[dpos][1]
-        # the up edge's root is its tail: walk node upos
-        start.append(coord - offsets[upos][axis])
+        # edge prev ends at level; the up edge's root is its tail, the lower end
+        start.append(coord - min(level, level - signs[prev]))
     return tuple(start)
 
 

@@ -21,6 +21,7 @@ compare and hash by their exact class and field tuple.
 import math
 from collections.abc import Sequence
 from functools import cached_property
+from itertools import accumulate
 from operator import attrgetter
 
 Coord = tuple[int, ...]
@@ -209,17 +210,10 @@ def walk_dimension(w: Walk, spec: LatticeSpec) -> int:
     return len({spec.step_table[s][3] for s in w.steps})
 
 
-def trace_steps(steps: Sequence[int],
-                spec: LatticeSpec) -> tuple[tuple[Coord, ...], list[int], int]:
-    """Each node's offset (a tuple) and rank change from the start, and
-    the first index of the lexicographically smallest node reached."""
+def trace_steps(steps: Sequence[int], spec: LatticeSpec) -> tuple[list[int], int]:
+    """Each node's rank change from the start, node 0 at 0, and the first
+    index of the smallest: rank order is lexicographic order, so on a walk
+    that fits the lattice that index is its smallest node's first visit."""
     table = spec.step_table
-    pos = [0] * spec.d
-    offsets = [tuple(pos)]
-    ranks = [0]
-    for s in steps:
-        axis, sign, dr, _ = table[s]
-        pos[axis] += sign
-        offsets.append(tuple(pos))
-        ranks.append(ranks[-1] + dr)
-    return tuple(offsets), ranks, offsets.index(min(offsets))
+    ranks = list(accumulate((table[s][2] for s in steps), initial=0))
+    return ranks, ranks.index(min(ranks))

@@ -92,15 +92,15 @@ def ambiguity_scan(
     The search runs on node ranks.  The first time it reaches a node it
     builds the node's successor list, one (next rank, edge id, color id,
     1 << code) per step that stays inside, and keeps it; so memory grows
-    with the edges of the nodes visited, and a budget refusal on a huge
-    lattice comes before more than a few nodes are built.  Each edge is
-    colored once, by color_fn or else by the scheme's unchecked assigner
-    from the root and rank the search holds, and each distinct color
-    gets a dense id from 1 up the first time it is seen.  A color
-    sequence is keyed by one int, its ids as digits in base
-    size * codes + 1, so a step multiplies and adds instead of copying
-    a tuple; only reported sequences are decoded back to colors.  A
-    walk's dimension is the bit count of its code bitmask.
+    with the edges of the nodes visited.  Every edge is two one-step
+    walks, so a lattice with more than budget / 2 edges is refused before
+    any node is built.  Each edge is colored once, by color_fn or else by
+    the scheme's unchecked assigner from the root and rank the search
+    holds, and each distinct color gets a dense id from 1 up the first
+    time it is seen.  A color sequence is keyed by one int, its ids as
+    digits in base size * codes + 1, so a step multiplies and adds
+    instead of copying a tuple; only reported sequences are decoded back
+    to colors.  A walk's dimension is the bit count of its code bitmask.
 
     The search recurses once per step but the last: a walk one step
     short of max_len takes its last steps in a loop over its end's
@@ -122,6 +122,8 @@ def ambiguity_scan(
         raise ValueError(
             f"t_min={t_min} outside [1, {top}]: max_len={max_len}, {spec.codes} edge codes"
         )
+    if 2 * sum(spec.size // n * (n - 1) for n in spec.dims) > budget:
+        raise ValueError(f"scan exceeded budget of {budget} walks")
     assign = _ASSIGNERS[params.kind]
     if color_fn is not None:
         assign = lambda root, _, code, __: color_fn(Edge(root, code))

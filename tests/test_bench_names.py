@@ -71,7 +71,6 @@ def test_no_dead_imports():
             bench_only.add(qualified)
     assert bench_only == {
         "latticeobs.colorer.unrank",
-        "latticeobs.decoder.walk_nodes",
         "latticeobs.verifier.apply_step",
         "latticeobs.verifier.assign_color",
     }

@@ -118,11 +118,12 @@ def test_color_never_takes_over_an_existing_temp_name(tmp_path, capsys, monkeypa
     assert list(tmp_path.iterdir()) == [taken]
 
 
-@pytest.mark.parametrize("out", [".", "new/", "missing/x.txt"])
+@pytest.mark.parametrize("out", [".", "new/", "missing/x.txt", ""])
 def test_color_out_errors_name_the_given_path(tmp_path, capsys, monkeypatch, out):
     """A directory --out, or one ending in a separator, is refused before
     anything is written, and an I/O error names the --out given, never
-    the temp file; exit 1."""
+    the temp file; exit 1.  An empty --out names no file, as open('')
+    says."""
     work = tmp_path / "work"
     work.mkdir()
     monkeypatch.chdir(work)
@@ -131,6 +132,8 @@ def test_color_out_errors_name_the_given_path(tmp_path, capsys, monkeypatch, out
     assert stdout == ""
     assert f"--out {out}:" in err
     assert ".latticeobs-" not in err
+    if not out:
+        assert err == "error: cannot write --out : No such file or directory\n"
     assert list(tmp_path.iterdir()) == [work]
     assert not list(work.iterdir())
 

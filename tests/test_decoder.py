@@ -4,6 +4,7 @@ import ast
 import itertools
 import math
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -301,10 +302,11 @@ def test_decode2d_exact_on_more_walks():
         assert report.current == nodes[-1]
 
 
-def test_decode_verifies_in_one_pass(monkeypatch):
-    """decode recolors the placed walk once, with color_walk, and builds
-    the embedding from the trace: with walk_nodes made to raise, clean
-    and corrupted observations get the same reports."""
+def test_decode_recolors_once_and_steps_only_ok_walks(monkeypatch):
+    """decode recolors the placed walk at most once, with color_walk, and
+    only an ok report's nodes come from walk_nodes, stepped once: spies
+    on both leave the reports of clean and corrupted observations as
+    they were."""
     rng = random.Random(31)
     observations = []
     for s, kind in [
@@ -318,12 +320,24 @@ def test_decode_verifies_in_one_pass(monkeypatch):
             pos = rng.randrange(len(obs.colors))
             observations += [obs, fault_inject(obs, pos, rng.randrange(palette_size(params)))]
     expected = [decode(obs) for obs in observations]
+    calls = Counter()
 
-    def refuse(*args):
-        raise AssertionError("decode walked the placed walk a second time")
+    def spy(name):
+        real = getattr(decoder, name)
 
-    monkeypatch.setattr("latticeobs.decoder.walk_nodes", refuse)
-    assert [decode(obs) for obs in observations] == expected
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(decoder, name, counted)
+
+    spy("color_walk")
+    spy("walk_nodes")
+    for obs, report in zip(observations, expected):
+        calls.clear()
+        assert decode(obs) == report
+        assert calls["color_walk"] <= 1
+        assert calls["walk_nodes"] == (report.status == OK)
     statuses = [r.status for r in expected]
     assert statuses[::2] == [OK] * 120
     assert statuses[1::2].count(INVALID) > 100
@@ -455,7 +469,7 @@ def test_parity_mismatch_at_solved_root_is_invalid(monkeypatch):
                 if not solved or solved[0] >= s.size:
                     continue
                 parts = [color_unpack(color, params) for color in faulted.colors]
-                _, _, root_idx = trace_steps([part[0] for part in parts], s)
+                _, root_idx = trace_steps([part[0] for part in parts], s)
                 anchor = parts[root_idx - 1 if root_idx else 0][2]
                 if parity_group(base_digits(solved[0], t, p)) != anchor:
                     assert report.status == INVALID

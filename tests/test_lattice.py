@@ -176,23 +176,14 @@ def test_walk_dimension_frozen():
 
 
 def test_trace_steps_frozen():
-    offsets, ranks, root = trace_steps((1, 2), D33)
-    assert offsets == ((0, 0), (1, 0), (1, 1))
-    assert ranks == [0, 3, 4]
-    assert root == 0
-    offsets, ranks, root = trace_steps((3, 2), D33)
-    assert offsets == ((0, 0), (-1, 0), (-1, 1))
-    assert ranks == [0, -3, -2]
-    assert root == 1
-    assert trace_steps((4,), D33)[1] == [0, -1]
+    assert trace_steps((1, 2), D33) == ([0, 3, 4], 0)
+    assert trace_steps((3, 2), D33) == ([0, -3, -2], 1)
+    assert trace_steps((4,), D33) == ([0, -1], 1)
 
 
 def test_trace_steps_revisit_reports_first():
     # square cycle: the start reappears at index 4, root stays index 0
-    offsets, ranks, root = trace_steps((1, 2, 3, 4), D33)
-    assert offsets[0] == offsets[4] == (0, 0)
-    assert ranks[0] == ranks[4] == 0
-    assert root == 0
+    assert trace_steps((1, 2, 3, 4), D33) == ([0, 3, 4, 1, 0], 0)
 
 
 def test_in_bounds():
@@ -207,29 +198,29 @@ def test_in_bounds():
     ids=["directed-3x3", "undirected-3x3", "undirected-2x2x2"],
 )
 def test_trace_steps_matches_walk_nodes_exhaustive(spec):
-    """Every step sequence up to length 4: the offsets are walk_nodes'
-    nodes minus the start, with the start placed so the walk fits (on a
-    lattice of axes 5 long when it does not fit spec); the ranks are the
-    offsets' weighted sums, and rank(u) - rank(start) when the walk fits
-    spec; the root index is the first index of the smallest node,
-    revisits included."""
-    wide = LatticeSpec((5,) * spec.d, spec.directed, 1)
+    """Every step sequence up to length 4, stepped by walk_nodes from the
+    centre of a lattice of axes 9 long: the ranks are the nodes' weighted
+    sums (spec's weights) less the start's, and the root index is the
+    first index of the smallest rank change.  Where the walk fits spec,
+    placed there, that is the first index of the lexicographically
+    smallest node, revisits included."""
+    wide = LatticeSpec((9,) * spec.d, spec.directed, 1)
+    centre = (4,) * spec.d
+    weighted = lambda u: sum(x * w for x, w in zip(u, spec.weights))
     revisited_minimum = fitted = 0
     for length in range(5):
         for steps in itertools.product(spec.step_table, repeat=length):
-            offsets, ranks, root = trace_steps(steps, spec)
-            assert ranks == [sum(x * w for x, w in zip(o, spec.weights)) for o in offsets]
-            lows = [min(o[a] for o in offsets) for a in range(spec.d)]
-            highs = [max(o[a] for o in offsets) for a in range(spec.d)]
-            fits = all(hi - lo < n for lo, hi, n in zip(lows, highs, spec.dims))
-            start = tuple(-lo for lo in lows)
-            nodes = walk_nodes(Walk(start, steps), spec if fits else wide)
-            assert offsets == tuple(tuple(x - s for x, s in zip(u, start)) for u in nodes)
-            if fits:
+            ranks, root = trace_steps(steps, spec)
+            nodes = walk_nodes(Walk(centre, steps), wide)
+            assert ranks == [weighted(u) - weighted(centre) for u in nodes]
+            assert root == ranks.index(min(ranks))
+            lows = [min(axis) for axis in zip(*nodes)]
+            if all(max(axis) - lo < n for axis, lo, n in zip(zip(*nodes), lows, spec.dims)):
                 fitted += 1
-                assert ranks == [rank(u, spec) - rank(start, spec) for u in nodes]
-            smallest = min(nodes)
-            assert root == next(i for i, u in enumerate(nodes) if u == smallest)
-            revisited_minimum += nodes.count(smallest) > 1
+                start = tuple(c - lo for c, lo in zip(centre, lows))
+                nodes = walk_nodes(Walk(start, steps), spec)
+                smallest = min(nodes)
+                assert root == nodes.index(smallest)
+                revisited_minimum += nodes.count(smallest) > 1
     assert revisited_minimum
     assert fitted

@@ -319,6 +319,16 @@ def test_ambiguity_scan_budget_is_exact():
         ambiguity_scan(params, max_len=3, t_min=2, budget=687)
 
 
+def test_ambiguity_scan_refuses_a_huge_lattice_at_once():
+    """A lattice with more one-step walks (two per edge) than the budget
+    is refused before any walk is built, with the budget's message."""
+    params = make_scheme(spec((3, 10**400), False, 2), "undir")
+    begin = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^scan exceeded budget of 5000000 walks$"):
+        ambiguity_scan(params, max_len=2, t_min=2)
+    assert time.perf_counter() - begin < 1
+
+
 @pytest.mark.parametrize("max_len,walks", [(1, 34), (2, 136), (3, 444), (4, 1378)])
 def test_ambiguity_scan_budget_is_exact_at_every_depth(max_len, walks):
     """The last step is counted with its parent's expansion, the steps
